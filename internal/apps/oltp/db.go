@@ -1,8 +1,6 @@
 package oltp
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -18,17 +16,14 @@ import (
 type Product struct {
 	ID       int
 	Category int
-	Title    string
 	Price    int // cents
 	Stock    int
 }
 
 // Customer is one row of the customers table.
 type Customer struct {
-	ID       int
-	Name     string
-	Password string
-	Orders   []int
+	ID     int
+	Orders []int
 }
 
 // Order is one row of the orders table.
@@ -39,13 +34,14 @@ type Order struct {
 	Total    int
 }
 
-// DB is the database engine.
+// DB is the database engine. Tables are value slices indexed by row id
+// (order ids start at 1), so loading the store costs a handful of
+// allocations rather than one per row.
 type DB struct {
-	products   map[int]*Product
-	byCategory map[int][]int
-	customers  map[int]*Customer
-	orders     map[int]*Order
-	nextOrder  int
+	products   []Product
+	byCategory [][]int // product ids per category
+	customers  []Customer
+	orders     []Order
 
 	pool *BufferPool
 	disk *Disk
@@ -60,42 +56,53 @@ type DB struct {
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 	disk := NewDisk(m)
 	db := &DB{
-		products:   make(map[int]*Product),
-		byCategory: make(map[int][]int),
-		customers:  make(map[int]*Customer),
-		orders:     make(map[int]*Order),
+		products:   make([]Product, prm.Products),
+		byCategory: make([][]int, min(prm.Categories, prm.Products)),
+		customers:  make([]Customer, prm.Customers),
 		pool:       NewBufferPool(prm.PoolPages, disk, inMem),
 		disk:       disk,
 		inMem:      inMem,
 		prm:        prm,
 	}
-	for i := 0; i < prm.Products; i++ {
-		p := &Product{
-			ID:       i,
-			Category: i % prm.Categories,
-			Title:    fmt.Sprintf("dvd-%06d", i),
-			Price:    999 + (i%40)*100,
-			Stock:    100,
-		}
-		db.products[i] = p
+	for c := range db.byCategory {
+		db.byCategory[c] = make([]int, 0, (prm.Products-c+prm.Categories-1)/prm.Categories)
+	}
+	for i := range db.products {
+		p := &db.products[i]
+		*p = Product{ID: i, Category: i % prm.Categories, Price: 999 + (i%40)*100, Stock: 100}
 		db.byCategory[p.Category] = append(db.byCategory[p.Category], i)
 	}
-	for i := 0; i < prm.Customers; i++ {
-		db.customers[i] = &Customer{
-			ID:       i,
-			Name:     fmt.Sprintf("user%05d", i),
-			Password: fmt.Sprintf("pw%05d", i),
-		}
+	for i := range db.customers {
+		db.customers[i].ID = i
 	}
 	// The paper measures after a 2-minute warmup (§7.4); model that by
 	// pre-warming the buffer pool so steady-state reads hit memory and
 	// the on-disk configuration is dominated by transaction commits.
-	for i := 0; i < prm.PageSpace && i < prm.PoolPages; i++ {
-		e := &poolEntry{id: uint64(i)}
-		db.pool.pages[uint64(i)] = e
+	warm := make([]poolEntry, max(0, min(prm.PageSpace, prm.PoolPages)))
+	for i := range warm {
+		e := &warm[i]
+		e.id = uint64(i)
+		db.pool.pages[e.id] = e
 		db.pool.pushFront(e)
 	}
 	return db
+}
+
+// product returns the row key selects (keys wrap around the table), or
+// nil when the table is empty.
+func (db *DB) product(key int) *Product {
+	if len(db.products) == 0 {
+		return nil
+	}
+	return &db.products[key%len(db.products)]
+}
+
+// customer returns the row key selects, or nil when the table is empty.
+func (db *DB) customer(key int) *Customer {
+	if len(db.customers) == 0 {
+		return nil
+	}
+	return &db.customers[key%len(db.customers)]
 }
 
 // Disk exposes the backing device (for stats).
@@ -117,6 +124,9 @@ type Query struct {
 	Key      int // category, customer or product id
 	Key2     int // secondary key (e.g. item)
 	Quantity int
+	// Result is filled in when the query runs through Stack.DBHandler,
+	// so the result travels back to the interpreter tier in place.
+	Result QueryResult
 }
 
 // QueryKind selects the query plan.
@@ -148,31 +158,33 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 	t.ExecUser(prm.DBExecCost) // parse/plan/lock/row work
 	switch q.Kind {
 	case QBrowseCategory:
-		ids := db.byCategory[q.Key%max(1, len(db.byCategory))]
+		var ids []int
+		if len(db.byCategory) > 0 {
+			ids = db.byCategory[q.Key%len(db.byCategory)]
+		}
 		n := min(10, len(ids))
 		for i := 0; i < n; i++ {
 			db.pool.Access(t, db.pageOf(1, ids[i]), false)
 		}
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
-		p, ok := db.products[q.Key%max(1, len(db.products))]
-		if !ok {
+		p := db.product(q.Key)
+		if p == nil {
 			return QueryResult{}
 		}
 		db.pool.Access(t, db.pageOf(1, p.ID), false)
 		return QueryResult{Rows: 1, Bytes: 160, Data: p}
 	case QLogin:
-		c, ok := db.customers[q.Key%max(1, len(db.customers))]
-		if !ok {
+		c := db.customer(q.Key)
+		if c == nil {
 			return QueryResult{}
 		}
 		db.pool.Access(t, db.pageOf(2, c.ID), false)
 		t.ExecUser(prm.DBAuthCost) // password hash check
 		return QueryResult{Rows: 1, Bytes: 96, Data: c}
 	case QOrderHistory:
-		c := db.customers[q.Key%max(1, len(db.customers))]
 		n := 0
-		if c != nil {
+		if c := db.customer(q.Key); c != nil {
 			n = min(5, len(c.Orders))
 			for i := 0; i < n; i++ {
 				db.pool.Access(t, db.pageOf(3, c.Orders[len(c.Orders)-1-i]), false)
@@ -180,18 +192,15 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		}
 		return QueryResult{Rows: n, Bytes: n * 140}
 	case QAddOrderLine:
-		db.nextOrder++
-		id := db.nextOrder
-		o := &Order{ID: id, Customer: q.Key, Items: []int{q.Key2}, Total: q.Quantity}
-		db.orders[id] = o
-		if c := db.customers[q.Key%max(1, len(db.customers))]; c != nil {
+		id := len(db.orders) + 1
+		db.orders = append(db.orders, Order{ID: id, Customer: q.Key, Items: []int{q.Key2}, Total: q.Quantity})
+		if c := db.customer(q.Key); c != nil {
 			c.Orders = append(c.Orders, id)
 		}
 		db.pool.Access(t, db.pageOf(3, id), true)
 		return QueryResult{Rows: 1, Bytes: 32, Data: id}
 	case QUpdateStock:
-		p := db.products[q.Key%max(1, len(db.products))]
-		if p != nil && p.Stock > 0 {
+		if p := db.product(q.Key); p != nil && p.Stock > 0 {
 			p.Stock--
 		}
 		db.pool.Access(t, db.pageOf(1, q.Key), true)

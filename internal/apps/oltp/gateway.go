@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/kernel"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -87,7 +88,7 @@ var (
 type Gateway struct {
 	prm     *Params
 	cfg     GatewayConfig
-	pending []*request
+	pending ring.Deque[*request] // FIFO pops the front, LIFO the back
 	waiters kernel.TQueue
 
 	// Token bucket: tokens accumulate continuously on the sim clock.
@@ -144,13 +145,12 @@ func (g *Gateway) Submit(req *request, now sim.Time) {
 		g.Admitted++
 		return
 	}
-	if g.cfg.Policy != AdmitNone && len(g.pending) >= g.cfg.Capacity {
+	if g.cfg.Policy != AdmitNone && g.pending.Len() >= g.cfg.Capacity {
 		if g.cfg.Policy == AdmitLIFO {
 			// Shed the oldest: it has the least deadline budget left, so
 			// it is the entry least worth serving.
-			old := g.pending[0]
-			copy(g.pending, g.pending[1:])
-			g.pending[len(g.pending)-1] = req
+			old := g.pending.PopFront()
+			g.pending.PushBack(req)
 			g.Admitted++
 			g.RejectedFull++
 			g.reject(old, errGatewayFull)
@@ -161,7 +161,7 @@ func (g *Gateway) Submit(req *request, now sim.Time) {
 		return
 	}
 	g.Admitted++
-	g.pending = append(g.pending, req)
+	g.pending.PushBack(req)
 }
 
 // refill accrues tokens for the sim time elapsed since the last refill.
@@ -206,19 +206,14 @@ func (g *Gateway) Recv(t *kernel.Thread) *request {
 
 // pop removes the next request per policy, nil when the queue is empty.
 func (g *Gateway) pop() *request {
-	n := len(g.pending)
-	if n == 0 {
+	switch {
+	case g.pending.Len() == 0:
 		return nil
+	case g.cfg.Policy == AdmitLIFO:
+		return g.pending.PopBack()
+	default:
+		return g.pending.PopFront()
 	}
-	var req *request
-	if g.cfg.Policy == AdmitLIFO {
-		req = g.pending[n-1]
-		g.pending = g.pending[:n-1]
-	} else {
-		req = g.pending[0]
-		g.pending = g.pending[1:]
-	}
-	return req
 }
 
 // Reply sends the response (or the in-band failure) back to the client,
@@ -242,4 +237,4 @@ func (g *Gateway) Rejected() int64 {
 }
 
 // QueueLen is the current admission queue depth (tests).
-func (g *Gateway) QueueLen() int { return len(g.pending) }
+func (g *Gateway) QueueLen() int { return g.pending.Len() }

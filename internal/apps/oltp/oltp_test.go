@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -280,6 +281,26 @@ func TestGenOpMixAndDeterminism(t *testing.T) {
 		x, y := GenOp(a, prm), GenOp(b, prm)
 		if x.Kind != y.Kind || len(x.Queries) != len(y.Queries) {
 			t.Fatal("GenOp not deterministic")
+		}
+	}
+}
+
+// TestDrawRecycledMatchesGenOp checks that redrawing one recycled
+// Operation — as a closed-loop client does, with the previous plan's
+// results still in its query slots — yields exactly the plans fresh
+// GenOp calls draw from the same stream.
+func TestDrawRecycledMatchesGenOp(t *testing.T) {
+	prm := DefaultParams()
+	a, b := sim.NewRand(9), sim.NewRand(9)
+	op := &Operation{}
+	for i := 0; i < 500; i++ {
+		op.Draw(a, prm)
+		want := GenOp(b, prm)
+		if op.Kind != want.Kind || !slices.Equal(op.Queries, want.Queries) {
+			t.Fatalf("draw %d: recycled %+v, fresh %+v", i, op, want)
+		}
+		for j := range op.Queries {
+			op.Queries[j].Result = QueryResult{Rows: 7, Bytes: 99}
 		}
 	}
 }

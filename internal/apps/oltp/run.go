@@ -177,8 +177,12 @@ func Run(cfg Config) *Result {
 		seed := cfg.Seed*7919 + uint64(c)
 		eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
 			rng := sim.NewRand(seed)
+			// A closed-loop client has one request in flight, so it
+			// redraws the same request for every operation.
+			req := &request{op: &Operation{}}
 			for {
-				req := &request{op: GenOp(rng, prm), started: p.Now()}
+				req.op.Draw(rng, prm)
+				req.started = p.Now()
 				req.done = p.PrepareWait()
 				ingress.Submit(req)
 				p.Wait()

@@ -23,27 +23,35 @@ type Stack struct {
 }
 
 // DBHandler is the database tier's request entry: execute a query or
-// fetch a result set.
+// fetch a result set. Both take a pointer into the operation's own
+// query plan: exec stores the result in the query's Result slot and
+// returns the same pointer, which the caller passes back to fetch.
+// Nothing is boxed on the way.
+//
+//dipcvet:noalloc
 func (s *Stack) DBHandler(t *kernel.Thread, op string, payload any) (any, int) {
 	switch op {
 	case "exec":
-		q := payload.(Query)
-		r := s.DB.Exec(t, q)
-		return r, maxInt(64, r.Bytes)
+		q := payload.(*Query)
+		q.Result = s.DB.Exec(t, *q)
+		return q, maxInt(64, q.Result.Bytes)
 	case "fetch":
 		t.ExecUser(s.Prm.DBFetchCost)
-		if r, ok := payload.(QueryResult); ok {
-			return r, maxInt(64, r.Bytes)
+		if q, ok := payload.(*Query); ok {
+			return q, maxInt(64, q.Result.Bytes)
 		}
-		return QueryResult{}, 64
+		return nil, 64
 	default:
-		panic(fmt.Sprintf("oltp: unknown db op %q", op))
+		panicUnknownOp("db", op)
+		return nil, 0
 	}
 }
 
 // PHPHandler is the interpreter tier's request entry: FastCGI-style
 // begin/run/end. run interprets the page script, issuing exec+fetch
 // pairs against the database for every query in the operation.
+//
+//dipcvet:noalloc
 func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) {
 	switch op {
 	case "begin":
@@ -58,13 +66,13 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 	case "run":
 		req := payload.(*Operation)
 		t.ExecUser(s.Prm.PHPBase)
-		for _, q := range req.Queries {
+		for i := range req.Queries {
 			t.ExecUser(s.Prm.PHPPerQuery)
-			r := s.DBT.Call(t, "exec", q, s.Prm.ReqQuery)
+			r := s.DBT.Call(t, "exec", &req.Queries[i], s.Prm.ReqQuery)
 			// Multi-row results take extra cursor fetches.
 			rows := 1
-			if qr, ok := r.(QueryResult); ok {
-				rows = qr.Rows
+			if q, ok := r.(*Query); ok {
+				rows = q.Result.Rows
 			}
 			fetches := 1
 			if rows > 4 {
@@ -79,9 +87,13 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 		t.ExecUser(s.Prm.PHPBase / 32) // request teardown
 		return nil, 64
 	default:
-		panic(fmt.Sprintf("oltp: unknown php op %q", op))
+		panicUnknownOp("php", op)
+		return nil, 0
 	}
 }
+
+// panicUnknownOp is the cold failure path of the tier handlers.
+func panicUnknownOp(tier, op string) { panic(fmt.Sprintf("oltp: unknown %s op %q", tier, op)) }
 
 // WebHandle serves one client request on a web worker thread: parse,
 // drive the interpreter through the FastCGI-ish begin/run/end exchange,

@@ -85,7 +85,7 @@ type SockTransport struct {
 	prm     *Params
 	req     *ipc.Socket
 	h       Handler
-	replies map[*kernel.Thread]*ipc.Socket
+	callers map[*kernel.Thread]*sockReq
 	calls   uint64
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
@@ -95,7 +95,10 @@ type SockTransport struct {
 	Proc *kernel.Process
 }
 
-// sockReq is the wire request.
+// sockReq is the wire request. Each calling thread owns one, created
+// with its reply socket on the thread's first call and reused for every
+// later one: calls are synchronous per thread — the caller blocks on
+// reply until a worker has read the request and answered.
 type sockReq struct {
 	op      string
 	payload any
@@ -108,23 +111,26 @@ func NewSockTransport(prm *Params, h Handler) *SockTransport {
 		prm:     prm,
 		req:     ipc.NewConn(0).AtoB,
 		h:       h,
-		replies: make(map[*kernel.Thread]*ipc.Socket),
+		callers: make(map[*kernel.Thread]*sockReq),
 	}
 }
 
+// callerReq returns t's request record.
+func (s *SockTransport) callerReq(t *kernel.Thread) *sockReq {
+	if r := s.callers[t]; r != nil {
+		return r
+	}
+	r := &sockReq{reply: ipc.NewConn(0).AtoB}
+	s.callers[t] = r
+	return r
+}
+
 // Call implements Transport for the caller side.
+//
+//dipcvet:noalloc
 func (s *SockTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
 	s.calls++
-	reply := s.replies[t]
-	if reply == nil {
-		reply = ipc.NewConn(0).AtoB
-		s.replies[t] = reply
-	}
-	t.ExecUser(s.prm.ProtoMarshal) // marshal request
-	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: &sockReq{op: op, payload: payload, reply: reply}})
-	msg := reply.Recv(t)
-	t.ExecUser(s.prm.ProtoMarshal) // unmarshal response
-	return msg.Payload
+	return s.roundTrip(t, op, payload, reqBytes)
 }
 
 // TryCall implements Transport: a dead serving process refuses the
@@ -132,24 +138,36 @@ func (s *SockTransport) Call(t *kernel.Thread, op string, payload any, reqBytes 
 // RemoteError is unwrapped. Requests already accepted before a kill are
 // still answered — worker threads drain in flight, like a TCP stack
 // flushing established connections while refusing new ones.
+//
+//dipcvet:noalloc
 func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	s.calls++
 	if s.Proc != nil && s.Proc.Dead {
-		return nil, fmt.Errorf("oltp: connect %s: %w", s.Proc.Name, faults.ErrDead)
+		return nil, connectErr(s.Proc)
 	}
 	if err := injectFault(t, s.Faults); err != nil {
 		return nil, err
 	}
-	reply := s.replies[t]
-	if reply == nil {
-		reply = ipc.NewConn(0).AtoB
-		s.replies[t] = reply
-	}
+	return unwrapRemote(s.roundTrip(t, op, payload, reqBytes))
+}
+
+// roundTrip sends one request from t's record and waits for the reply.
+//
+//dipcvet:noalloc
+func (s *SockTransport) roundTrip(t *kernel.Thread, op string, payload any, reqBytes int) any {
+	r := s.callerReq(t)
+	r.op, r.payload = op, payload
 	t.ExecUser(s.prm.ProtoMarshal) // marshal request
-	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: &sockReq{op: op, payload: payload, reply: reply}})
-	msg := reply.Recv(t)
+	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: r})
+	msg := r.reply.Recv(t)
 	t.ExecUser(s.prm.ProtoMarshal) // unmarshal response
-	return unwrapRemote(msg.Payload)
+	return msg.Payload
+}
+
+// connectErr is the cold connection-refused error of a dead serving
+// process.
+func connectErr(p *kernel.Process) error {
+	return fmt.Errorf("oltp: connect %s: %w", p.Name, faults.ErrDead)
 }
 
 // Calls implements Transport.
@@ -177,7 +195,11 @@ func (s *SockTransport) Worker(t *kernel.Thread) {
 // crosses into the target process in place.
 type DIPCTransport struct {
 	entries map[string]*core.ImportedEntry
-	calls   uint64
+	// args holds each calling thread's argument record, reused for
+	// every call it makes: the call is synchronous, and handlerEntry
+	// writes its result back into the same record.
+	args  map[*kernel.Thread]*core.Args
+	calls uint64
 	// runtimeHint lets the web workers enter their process code domain
 	// before calling (the CODOMs subject comes from the instruction
 	// pointer).
@@ -188,19 +210,40 @@ type DIPCTransport struct {
 
 // NewDIPCTransport wraps resolved entries keyed by operation name.
 func NewDIPCTransport(entries map[string]*core.ImportedEntry) *DIPCTransport {
-	return &DIPCTransport{entries: entries}
+	return &DIPCTransport{entries: entries, args: make(map[*kernel.Thread]*core.Args)}
+}
+
+// callArgs returns t's argument record, reset to carry payload.
+//
+//dipcvet:noalloc
+func (d *DIPCTransport) callArgs(t *kernel.Thread, payload any) *core.Args {
+	a := d.args[t]
+	if a == nil {
+		a = d.newArgs(t)
+	}
+	*a = core.Args{Data: payload, StackBytes: 64}
+	return a
+}
+
+// newArgs creates t's argument record on its first call.
+func (d *DIPCTransport) newArgs(t *kernel.Thread) *core.Args {
+	a := &core.Args{}
+	d.args[t] = a
+	return a
 }
 
 // Call implements Transport.
+//
+//dipcvet:noalloc
 func (d *DIPCTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
 	d.calls++
 	ent, ok := d.entries[op]
 	if !ok {
-		panic(fmt.Sprintf("oltp: no dIPC entry for %q", op))
+		panicNoEntry(op)
 	}
-	out, err := ent.Call(t, &core.Args{Data: payload, StackBytes: 64})
+	out, err := ent.Call(t, d.callArgs(t, payload))
 	if err != nil {
-		panic(fmt.Sprintf("oltp: dIPC call %q failed: %v", op, err))
+		panicCallFailed(op, err)
 	}
 	if out == nil {
 		return nil
@@ -212,6 +255,8 @@ func (d *DIPCTransport) Call(t *kernel.Thread, op string, payload any, reqBytes 
 // fails the proxy's liveness check) propagates as an error instead of a
 // panic, so chaos runs exercise the same descriptor revalidation the
 // core layer implements.
+//
+//dipcvet:noalloc
 func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	d.calls++
 	if err := injectFault(t, d.Faults); err != nil {
@@ -219,16 +264,28 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	}
 	ent, ok := d.entries[op]
 	if !ok {
-		return nil, fmt.Errorf("oltp: no dIPC entry for %q", op)
+		return nil, noEntryErr(op)
 	}
-	out, err := ent.Call(t, &core.Args{Data: payload, StackBytes: 64})
+	out, err := ent.Call(t, d.callArgs(t, payload))
 	if err != nil {
-		return nil, fmt.Errorf("oltp: dIPC call %q: %w", op, err)
+		return nil, callErr(op, err)
 	}
 	if out == nil {
 		return nil, nil
 	}
 	return unwrapRemote(out.Data)
+}
+
+// The cold failure paths of the dIPC calls: TryCall's errors and
+// Call's panics.
+func noEntryErr(op string) error { return fmt.Errorf("oltp: no dIPC entry for %q", op) }
+
+func callErr(op string, err error) error { return fmt.Errorf("oltp: dIPC call %q: %w", op, err) }
+
+func panicNoEntry(op string) { panic(fmt.Sprintf("oltp: no dIPC entry for %q", op)) }
+
+func panicCallFailed(op string, err error) {
+	panic(fmt.Sprintf("oltp: dIPC call %q failed: %v", op, err))
 }
 
 // Calls implements Transport.
@@ -241,8 +298,21 @@ func (d *DIPCTransport) Lookahead() sim.Time { return 0 }
 
 // handlerEntry adapts a Handler into a dIPC entry function.
 func handlerEntry(h Handler, op string) core.Func {
-	return func(t *kernel.Thread, in *core.Args) *core.Args {
-		out, _ := h(t, op, in.Data)
-		return &core.Args{Data: out}
-	}
+	return (&entryFunc{h: h, op: op}).call
+}
+
+// entryFunc is the dIPC entry function of one handler operation.
+type entryFunc struct {
+	h  Handler
+	op string
+}
+
+// call runs the handler and returns its result in the caller's own
+// argument record — an entry may echo its input (core.Proxy.invoke),
+// and the caller reads the result before its next call.
+//
+//dipcvet:noalloc
+func (e *entryFunc) call(t *kernel.Thread, in *core.Args) *core.Args {
+	in.Data, _ = e.h(t, e.op, in.Data)
+	return in
 }

@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"repro/internal/kernel"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -38,26 +39,34 @@ type Operation struct {
 
 // GenOp draws one operation from the DVDStore-like mix.
 func GenOp(rng *sim.Rand, prm *Params) *Operation {
+	op := &Operation{}
+	op.Draw(rng, prm)
+	return op
+}
+
+// Draw redraws op in place from the DVDStore-like mix, reusing the
+// capacity of its Queries, so a closed-loop client can recycle one
+// Operation.
+func (op *Operation) Draw(rng *sim.Rand, prm *Params) {
+	op.Queries = op.Queries[:0]
 	w := rng.Intn(prm.BrowseWeight + prm.LoginWeight + prm.PurchaseWeight)
 	switch {
 	case w < prm.BrowseWeight:
-		op := &Operation{Kind: OpBrowse}
+		op.Kind = OpBrowse
 		cat := rng.Intn(prm.Categories)
 		op.Queries = append(op.Queries, Query{Kind: QBrowseCategory, Key: cat})
 		for i := 0; i < prm.BrowseGets; i++ {
 			op.Queries = append(op.Queries, Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
 		}
-		return op
 	case w < prm.BrowseWeight+prm.LoginWeight:
-		op := &Operation{Kind: OpLogin}
+		op.Kind = OpLogin
 		cust := rng.Intn(prm.Customers)
 		op.Queries = append(op.Queries, Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.LoginHistory; i++ {
 			op.Queries = append(op.Queries, Query{Kind: QOrderHistory, Key: cust})
 		}
-		return op
 	default:
-		op := &Operation{Kind: OpPurchase}
+		op.Kind = OpPurchase
 		cust := rng.Intn(prm.Customers)
 		op.Queries = append(op.Queries, Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.PurchaseGets; i++ {
@@ -70,7 +79,6 @@ func GenOp(rng *sim.Rand, prm *Params) *Operation {
 				Query{Kind: QUpdateStock, Key: item})
 		}
 		op.Queries = append(op.Queries, Query{Kind: QCommitOrder, Key: cust})
-		return op
 	}
 }
 
@@ -89,7 +97,7 @@ type request struct {
 // tier's accept/read/write syscalls are charged in full.
 type Ingress struct {
 	prm     *Params
-	pending []*request
+	pending ring.Deque[*request]
 	waiters kernel.TQueue
 }
 
@@ -101,7 +109,7 @@ func (in *Ingress) Submit(req *request) {
 	if in.waiters.WakeOne(req, nil) {
 		return
 	}
-	in.pending = append(in.pending, req)
+	in.pending.PushBack(req)
 }
 
 // Recv blocks a web worker until a request arrives, charging the
@@ -111,9 +119,8 @@ func (in *Ingress) Recv(t *kernel.Thread) *request {
 	t.Syscall(func() {
 		p := t.Machine().P
 		t.Exec(p.SockKernel+p.KernelCopy(in.prm.IngressReq), stats.BlockKernel)
-		if len(in.pending) > 0 {
-			req = in.pending[0]
-			in.pending = in.pending[1:]
+		if in.pending.Len() > 0 {
+			req = in.pending.PopFront()
 			return
 		}
 		req = in.waiters.BlockOn(t).(*request)

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/hostalloc"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -156,14 +156,10 @@ func TestCrossCallSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, run := buildCrossCallRig(t, tc.high, tc.depth)
 			const rounds = 512
-			var before, after runtime.MemStats
-			run(64, rounds,
-				func() { runtime.ReadMemStats(&before) },
-				func() { runtime.ReadMemStats(&after) })
-			perOp := float64(after.Mallocs-before.Mallocs) / rounds
-			if perOp > 0 {
+			n := hostalloc.Section(func(start, stop func()) { run(64, rounds, start, stop) })
+			if n > 0 {
 				t.Errorf("steady-state cross-call allocates %.3f objects/op (total %d over %d calls), want 0",
-					perOp, after.Mallocs-before.Mallocs, rounds)
+					float64(n)/rounds, n, rounds)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"repro/internal/kernel"
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -16,11 +17,12 @@ type Message struct {
 // Socket is one direction of a UNIX-socket connection: a bounded queue
 // of messages with kernel-mediated copies on both ends. glibc's rpcgen
 // RPC and dIPC's default entry-resolution channel run over these
-// (§2.2, §6.2.1).
+// (§2.2, §6.2.1). The message queue is a ring, so steady send/receive
+// traffic reuses one buffer instead of reallocating.
 type Socket struct {
 	capacity int // bytes of kernel buffering
 	buffered int
-	msgs     []Message
+	msgs     ring.Deque[Message]
 	readers  kernel.TQueue
 	writers  kernel.TQueue
 }
@@ -44,37 +46,39 @@ func NewConn(capacity int) *Conn {
 }
 
 // Send copies a message into the socket buffer, blocking while full.
+//
+//dipcvet:noalloc
 func (s *Socket) Send(t *kernel.Thread, msg Message) {
 	prm := t.Machine().P
-	t.Syscall(func() {
-		t.Exec(prm.SockKernel, stats.BlockKernel)
-		for s.buffered+msg.Size > s.capacity && len(s.msgs) > 0 {
-			s.writers.BlockOn(t)
-		}
-		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
-		s.buffered += msg.Size
-		s.msgs = append(s.msgs, msg)
-		s.readers.WakeOne(nil, t)
-	})
+	t.EnterSyscall()
+	t.Exec(prm.SockKernel, stats.BlockKernel)
+	for s.buffered+msg.Size > s.capacity && s.msgs.Len() > 0 {
+		s.writers.BlockOn(t)
+	}
+	t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
+	s.buffered += msg.Size
+	s.msgs.PushBack(msg)
+	s.readers.WakeOne(nil, t)
+	t.ExitSyscall()
 }
 
 // Recv removes the next message, blocking while the socket is empty.
+//
+//dipcvet:noalloc
 func (s *Socket) Recv(t *kernel.Thread) Message {
 	prm := t.Machine().P
-	var msg Message
-	t.Syscall(func() {
-		t.Exec(prm.SockKernel, stats.BlockKernel)
-		for len(s.msgs) == 0 {
-			s.readers.BlockOn(t)
-		}
-		msg = s.msgs[0]
-		s.msgs = s.msgs[1:]
-		s.buffered -= msg.Size
-		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
-		s.writers.WakeOne(nil, t)
-	})
+	t.EnterSyscall()
+	t.Exec(prm.SockKernel, stats.BlockKernel)
+	for s.msgs.Len() == 0 {
+		s.readers.BlockOn(t)
+	}
+	msg := s.msgs.PopFront()
+	s.buffered -= msg.Size
+	t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
+	s.writers.WakeOne(nil, t)
+	t.ExitSyscall()
 	return msg
 }
 
 // Pending returns the number of queued messages.
-func (s *Socket) Pending() int { return len(s.msgs) }
+func (s *Socket) Pending() int { return s.msgs.Len() }

@@ -1,53 +1,30 @@
 package kernel
 
-import "repro/internal/stats"
+import (
+	"repro/internal/ring"
+	"repro/internal/stats"
+)
 
 // TQueue is a FIFO wait queue of kernel threads — the building block of
-// futexes, pipes and socket buffers. Pops advance a head index over a
-// reused backing array instead of re-slicing the base away, so the
-// steady block/wake cycles of the IPC benchmarks stop regrowing the
-// slice (the old `ts = ts[1:]` form forced append to reallocate every
-// few wakes under sustained churn).
+// futexes, pipes and socket buffers. It is a ring, so the steady
+// block/wake cycles of the IPC benchmarks reuse one buffer.
 type TQueue struct {
-	ts   []*Thread
-	head int
+	ts ring.Deque[*Thread]
 }
 
 // Len returns the number of queued threads.
-func (q *TQueue) Len() int { return len(q.ts) - q.head }
+func (q *TQueue) Len() int { return q.ts.Len() }
 
 // BlockOn parks t on the queue; the value passed to the waking WakeOne /
 // WakeAll is returned.
 func (q *TQueue) BlockOn(t *Thread) any {
-	return t.Block(func() { q.ts = append(q.ts, t) })
-}
-
-// pop removes and returns the oldest queued thread, reclaiming the dead
-// prefix when the queue drains or the prefix dominates the array.
-func (q *TQueue) pop() *Thread {
-	t := q.ts[q.head]
-	q.ts[q.head] = nil
-	q.head++
-	switch {
-	case q.head == len(q.ts):
-		q.ts = q.ts[:0]
-		q.head = 0
-	case q.head >= 32 && q.head*2 >= len(q.ts):
-		n := copy(q.ts, q.ts[q.head:])
-		clearTail := q.ts[n:]
-		for i := range clearTail {
-			clearTail[i] = nil
-		}
-		q.ts = q.ts[:n]
-		q.head = 0
-	}
-	return t
+	return t.Block(func() { q.ts.PushBack(t) })
 }
 
 // WakeOne wakes the oldest queued thread. waker attributes IPI cost.
 func (q *TQueue) WakeOne(data any, waker *Thread) bool {
 	for q.Len() > 0 {
-		if q.pop().Wake(data, waker) {
+		if q.ts.PopFront().Wake(data, waker) {
 			return true
 		}
 	}

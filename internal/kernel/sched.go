@@ -2,17 +2,21 @@ package kernel
 
 import (
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // CPU is one simulated hardware context. A CPU either runs exactly one
 // thread (cur) or idles; runnable threads wait in its FIFO run queue.
+// The run queue is a ring deque: wakeups and yields push at the back,
+// the CPU's own dispatch pops the front, and an idle CPU steals from
+// the back.
 type CPU struct {
 	ID   int
 	m    *Machine
 	cur  *Thread
-	runq []*Thread
+	runq ring.Deque[*Thread]
 
 	idleSince sim.Time
 	lastPT    *mem.PageTable // page table of the last thread that ran
@@ -25,14 +29,14 @@ func (c *CPU) load() int {
 	if c.cur == nil {
 		return 0
 	}
-	return 1 + len(c.runq)
+	return 1 + c.runq.Len()
 }
 
 // Cur returns the running thread, if any.
 func (c *CPU) Cur() *Thread { return c.cur }
 
 // QueueLen returns the run-queue length.
-func (c *CPU) QueueLen() int { return len(c.runq) }
+func (c *CPU) QueueLen() int { return c.runq.Len() }
 
 // endIdle accounts an idle period that finishes now.
 func (c *CPU) endIdle() {
@@ -71,11 +75,13 @@ func (c *CPU) fire(t *Thread, delay sim.Time) {
 // immediately if c is idle. waker is the thread that caused the wakeup
 // (nil for device/timer wakeups); a cross-CPU wake of an idle CPU costs
 // an IPI, charged to the waker's CPU and to the target's kernel time.
+//
+//dipcvet:noalloc
 func (c *CPU) place(t *Thread, waker *Thread) {
 	t.lastCPU = c
 	if c.cur != nil {
 		t.cpu = c
-		c.runq = append(c.runq, t)
+		c.runq.PushBack(t)
 		return
 	}
 	// Idle CPU: wake it up and run t directly.
@@ -138,9 +144,8 @@ func (c *CPU) switchOut(prev *Thread) {
 	p := c.m.P
 	c.Acct.Add(stats.BlockSched, p.SchedPickNext)
 	var next *Thread
-	if len(c.runq) > 0 {
-		next = c.runq[0]
-		c.runq = c.runq[1:]
+	if c.runq.Len() > 0 {
+		next = c.runq.PopFront()
 	} else if c.m.StealOnIdle {
 		next = c.steal()
 	}
@@ -167,15 +172,14 @@ func (c *CPU) steal() *Thread {
 	var victim *CPU
 	best := 1
 	for _, o := range c.m.CPUs {
-		if o != c && len(o.runq) > best {
-			victim, best = o, len(o.runq)
+		if o != c && o.runq.Len() > best {
+			victim, best = o, o.runq.Len()
 		}
 	}
 	if victim == nil {
 		return nil
 	}
-	t := victim.runq[len(victim.runq)-1]
-	victim.runq = victim.runq[:len(victim.runq)-1]
+	t := victim.runq.PopBack()
 	// Migration cost: the stolen thread's cache state is cold here.
 	c.Acct.Add(stats.BlockSched, c.m.P.CtxSwitchPollution)
 	return t

@@ -126,7 +126,7 @@ func (t *Thread) targetCPU() *CPU {
 	if t.pinned != nil {
 		return t.pinned
 	}
-	if t.lastCPU != nil && len(t.lastCPU.runq) <= 2 {
+	if t.lastCPU != nil && t.lastCPU.runq.Len() <= 2 {
 		return t.lastCPU
 	}
 	return t.m.leastLoadedCPU()
@@ -166,7 +166,7 @@ func (t *Thread) Exec(d sim.Time, b stats.Block) {
 		d -= slice
 		t.quantumLeft -= slice
 		if t.quantumLeft <= 0 {
-			if len(t.cpu.runq) > 0 {
+			if t.cpu.runq.Len() > 0 {
 				t.Yield()
 			} else {
 				t.quantumLeft = t.m.P.QuantumDefault
@@ -184,7 +184,7 @@ func (t *Thread) Yield() {
 	cpu := t.cpu
 	t.state = ThreadRunnable
 	t.schedWaiter = t.sp.PrepareWait()
-	cpu.runq = append(cpu.runq, t)
+	cpu.runq.PushBack(t)
 	cpu.switchOut(t)
 	t.sp.Wait()
 }
@@ -248,14 +248,29 @@ func (t *Thread) SleepFor(d sim.Time) {
 // dispatch trampoline, the body, and the return path. The body charges
 // its own kernel time (Fig. 2 block 4).
 func (t *Thread) Syscall(fn func()) {
-	p := t.m.P
-	t.Exec(p.SyscallTrap, stats.BlockSyscall)
-	t.Exec(p.SyscallDispatch, stats.BlockDispatch)
+	t.EnterSyscall()
 	if fn != nil {
 		fn()
 	}
-	t.Exec(p.SyscallRet, stats.BlockSyscall)
+	t.ExitSyscall()
 }
+
+// EnterSyscall charges the trap and dispatch trampoline of a system
+// call. Paired with ExitSyscall it brackets a syscall body written
+// inline, which keeps allocation-free hot paths free of closures.
+//
+//dipcvet:noalloc
+func (t *Thread) EnterSyscall() {
+	p := t.m.P
+	t.Exec(p.SyscallTrap, stats.BlockSyscall)
+	t.Exec(p.SyscallDispatch, stats.BlockDispatch)
+}
+
+// ExitSyscall charges the return path of a system call opened by
+// EnterSyscall.
+//
+//dipcvet:noalloc
+func (t *Thread) ExitSyscall() { t.Exec(t.m.P.SyscallRet, stats.BlockSyscall) }
 
 // exit terminates the thread, releasing its CPU.
 func (t *Thread) exit() {
