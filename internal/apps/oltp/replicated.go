@@ -70,29 +70,6 @@ const (
 	replicatedBootTime = sim.Time(1 * sim.Millisecond)
 )
 
-// replicaInbox is a replica front's request inbox: arriving IDs hand
-// off directly to a waiting worker thread or queue until one asks.
-type replicaInbox struct {
-	pending []uint64
-	waiters kernel.TQueue
-}
-
-func (in *replicaInbox) submit(id uint64) {
-	if in.waiters.WakeOne(id, nil) {
-		return
-	}
-	in.pending = append(in.pending, id)
-}
-
-func (in *replicaInbox) recv(t *kernel.Thread) uint64 {
-	if len(in.pending) > 0 {
-		id := in.pending[0]
-		in.pending = in.pending[1:]
-		return id
-	}
-	return in.waiters.BlockOn(t).(uint64)
-}
-
 // ReplicatedConfig is one replicated rack run: machine 0 hosts the
 // clients, the router state and the health detector; machines 1..N
 // each host one replica of the tier chain.
@@ -405,7 +382,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	rxls := make([]*faults.LinkState, R)
 	outs := make([]*sim.Link, R)
 	routs := make([]*sim.Link, R)
-	inboxes := make([]*replicaInbox, R)
+	inboxes := make([]*Inbox, R)
 	fronts := make([]*kernel.Process, R)
 	repBreakers := make([][]*Breaker, R)
 
@@ -444,7 +421,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		rxnics[r].SetFaults(rxls[r])
 		inj.Link(fmt.Sprintf("link%d", mi), eng0, txls[r])
 		inj.Link(fmt.Sprintf("rlink%d", mi), shardOf(mi), rxls[r])
-		inboxes[r] = &replicaInbox{}
+		inboxes[r] = &Inbox{}
 
 		work := cfg.Work
 		if cfg.SlowReplica == mi {
@@ -485,7 +462,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 				routs[r].SendU64(rxnics[r].FlightTime(probeBytes), v)
 				return
 			}
-			inboxes[r].submit(v)
+			inboxes[r].Submit(v)
 		})
 
 		// Response link replica -> m0: probe acks refresh the detector's
@@ -529,7 +506,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 					mustEnter(rt, t)
 				}
 				for {
-					v := inboxes[r].recv(t)
+					v := inboxes[r].Recv(t)
 					if front.Dead {
 						if measuring {
 							accs[mi].Rel.Drops++

@@ -136,3 +136,28 @@ func (in *Ingress) Reply(t *kernel.Thread, req *request) {
 	})
 	req.done.Wake(0, nil)
 }
+
+// Inbox is a machine's request inbox for multi-machine runners: an
+// arriving request ID hands off directly to a waiting worker thread or
+// queues until one asks. Delivery is free (the NIC model charges the
+// wire); the queue is a ring, so a steady stream never reallocates it.
+type Inbox struct {
+	pending ring.Deque[uint64]
+	waiters kernel.TQueue
+}
+
+// Submit delivers id, waking the longest-waiting worker if any.
+func (in *Inbox) Submit(id uint64) {
+	if in.waiters.WakeOne(id, nil) {
+		return
+	}
+	in.pending.PushBack(id)
+}
+
+// Recv returns the oldest queued ID, blocking t until one arrives.
+func (in *Inbox) Recv(t *kernel.Thread) uint64 {
+	if in.pending.Len() > 0 {
+		return in.pending.PopFront()
+	}
+	return in.waiters.BlockOn(t).(uint64)
+}

@@ -472,3 +472,44 @@ func TestPermOrdering(t *testing.T) {
 		t.Fatal("permission names broken")
 	}
 }
+
+// A stack that is never pushed holds no entries: NewThreadCtx builds one
+// per hardware thread and most threads never spill a capability.
+func TestDCSLazySlots(t *testing.T) {
+	d := NewThreadCtx().DCS
+	if d.slots != nil {
+		t.Fatalf("fresh DCS holds %d slots, want none until first use", len(d.slots))
+	}
+	if _, err := d.Pop(); err == nil {
+		t.Fatal("pop of an untouched stack succeeded")
+	}
+	if _, err := d.SetBase(0); err != nil || d.slots != nil {
+		t.Fatalf("SetBase(0) on an untouched stack: err %v, slots materialized %v", err, d.slots != nil)
+	}
+}
+
+// SwitchTo on an untouched stack materializes it first, so the restore
+// token holds a real stack and RestoreFrom's aliasing check (which
+// compares first elements) never indexes a nil one.
+func TestDCSSwitchFromUntouchedStack(t *testing.T) {
+	d := NewDCS(4)
+	tok, err := d.SwitchTo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tok.(*dcsState); st.slots == nil {
+		t.Fatal("restore token aliases a nil stack")
+	}
+	if err := d.Push(Capability{Base: 7, Size: 1, Perm: PermRead, valid: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RestoreFrom(tok, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := d.Pop(); err != nil || c.Base != 7 {
+		t.Fatalf("result after restore = %+v, %v", c, err)
+	}
+	if d.Depth() != 0 {
+		t.Fatalf("restored depth = %d, want 0", d.Depth())
+	}
+}

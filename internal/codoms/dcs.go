@@ -8,9 +8,9 @@ import "fmt"
 // proxies) may move the base, which is how DCS integrity is enforced
 // across cross-process calls (§5.2.3).
 type DCS struct {
-	slots []Capability
-	base  int // lowest index visible to the current domain
-	top   int // next free slot
+	slots []Capability // nil until first used: most threads never spill
+	base  int          // lowest index visible to the current domain
+	top   int          // next free slot
 	limit int
 
 	// Recycling pools for SwitchTo/RestoreFrom (DCS conf.+integrity runs
@@ -22,12 +22,21 @@ type DCS struct {
 	tokens []*dcsState
 }
 
-// NewDCS returns a capability stack with room for limit entries.
+// NewDCS returns a capability stack with room for limit entries. The
+// entries are allocated on first use, not here: every hardware thread
+// context carries a stack, and most never spill a capability.
 func NewDCS(limit int) *DCS {
 	if limit <= 0 {
 		limit = 256
 	}
-	return &DCS{slots: make([]Capability, limit), limit: limit}
+	return &DCS{limit: limit}
+}
+
+// materialize allocates the stack's entries on first use.
+func (d *DCS) materialize() {
+	if d.slots == nil {
+		d.slots = make([]Capability, d.limit)
+	}
 }
 
 // Push spills a capability. It fails when the stack is full.
@@ -35,6 +44,7 @@ func (d *DCS) Push(c Capability) error {
 	if d.top >= d.limit {
 		return fmt.Errorf("codoms: DCS overflow (limit %d)", d.limit)
 	}
+	d.materialize()
 	d.slots[d.top] = c
 	d.top++
 	return nil
@@ -91,6 +101,9 @@ func (d *DCS) SwitchTo(nargs int) (restore any, err error) {
 	if nargs < 0 || nargs > d.Depth() {
 		return nil, fmt.Errorf("codoms: DCS switch with %d args, have %d visible", nargs, d.Depth())
 	}
+	// The token must hold a real stack: RestoreFrom tells an aliased
+	// token apart by comparing first elements.
+	d.materialize()
 	var tok *dcsState
 	if n := len(d.tokens); n > 0 {
 		tok = d.tokens[n-1]

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps/netpipe"
+	"repro/internal/apps/oltp"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -67,11 +68,11 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 	inj := faults.NewInjector(c.Plan)
 
 	nics := make([]*netpipe.NIC, c.Machines)
-	ings := make([]*rackIngress, c.Machines)
+	ings := make([]*oltp.Inbox, c.Machines)
 	lss := make([]*faults.LinkState, c.Machines)
 	for i, m := range ms {
 		nics[i] = netpipe.NewNIC(m)
-		ings[i] = &rackIngress{}
+		ings[i] = &oltp.Inbox{}
 		lss[i] = &faults.LinkState{}
 		nics[i].SetFaults(lss[i])
 		//dipcvet:shard-ok wiring phase: the injector binds to the shard that owns the link state, before the run
@@ -103,7 +104,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 			})
 		} else {
 			ing := ings[next]
-			l.SetHandler(func(v uint64) { ing.submit(v) })
+			l.SetHandler(func(v uint64) { ing.Submit(v) })
 		}
 		outs[i] = l
 	}
@@ -118,7 +119,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 		for w := 0; w < c.Workers; w++ {
 			ms[mi].Spawn(proc, fmt.Sprintf("m%d.w%d", mi, w), nil, func(t *kernel.Thread) {
 				for {
-					id := ings[mi].recv(t)
+					id := ings[mi].Recv(t)
 					if proc.Dead {
 						if measuring {
 							accs[mi].Rel.Drops++

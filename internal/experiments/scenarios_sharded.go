@@ -17,35 +17,13 @@ import (
 	"fmt"
 
 	"repro/internal/apps/netpipe"
+	"repro/internal/apps/oltp"
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// rackIngress is a machine's request inbox: arriving request IDs either
-// hand off directly to a waiting worker thread or queue until one asks.
-type rackIngress struct {
-	pending []uint64
-	waiters kernel.TQueue
-}
-
-func (in *rackIngress) submit(id uint64) {
-	if in.waiters.WakeOne(id, nil) {
-		return
-	}
-	in.pending = append(in.pending, id)
-}
-
-func (in *rackIngress) recv(t *kernel.Thread) uint64 {
-	if len(in.pending) > 0 {
-		id := in.pending[0]
-		in.pending = in.pending[1:]
-		return id
-	}
-	return in.waiters.BlockOn(t).(uint64)
-}
 
 // RackConfig parameterizes one rack run.
 type RackConfig struct {
@@ -83,10 +61,10 @@ func RunRack(c RackConfig) *RackResult {
 	ms := kernel.PlaceMachines(cl, p, c.Machines, c.CPUs)
 
 	nics := make([]*netpipe.NIC, c.Machines)
-	ings := make([]*rackIngress, c.Machines)
+	ings := make([]*oltp.Inbox, c.Machines)
 	for i, m := range ms {
 		nics[i] = netpipe.NewNIC(m)
-		ings[i] = &rackIngress{}
+		ings[i] = &oltp.Inbox{}
 	}
 
 	accs := make([]*stats.Accumulator, c.Machines)
@@ -110,7 +88,7 @@ func RunRack(c RackConfig) *RackResult {
 			l.SetHandler(func(v uint64) { waiters[v].WakeU64(0, v) })
 		} else {
 			ing := ings[next]
-			l.SetHandler(func(v uint64) { ing.submit(v) })
+			l.SetHandler(func(v uint64) { ing.Submit(v) })
 		}
 		outs[i] = l
 	}
@@ -122,7 +100,7 @@ func RunRack(c RackConfig) *RackResult {
 		for w := 0; w < c.Workers; w++ {
 			ms[mi].Spawn(proc, fmt.Sprintf("m%d.w%d", mi, w), nil, func(t *kernel.Thread) {
 				for {
-					id := ings[mi].recv(t)
+					id := ings[mi].Recv(t)
 					t.ExecUser(c.Work)
 					outs[mi].SendU64(nics[mi].FlightTime(c.ReqBytes), id)
 				}

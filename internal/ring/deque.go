@@ -1,6 +1,7 @@
 // Package ring provides Deque, the power-of-two ring buffer behind the
 // simulator's steady-state queues: socket message buffers, kernel wait
-// and run queues, and the OLTP ingress and gateway queues.
+// and run queues, the OLTP ingress, inbox and gateway queues, and the L4
+// endpoint's call queue.
 //
 // A slice popped with q = q[1:] loses capacity at the front, so under
 // steady traffic nearly every append reallocates. A ring reuses its

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 )
 
 // Cluster runs one simulation across N shards, each a full Engine with
@@ -46,6 +45,7 @@ type Cluster struct {
 	shards []*Shard
 	links  []*Link
 	epoch  uint64 // barrier iterations completed (diagnostics)
+	pepoch uint64 // of which ran two or more shards at once (diagnostics)
 
 	// Per-epoch scratch, reused so the barrier allocates nothing in
 	// steady state.
@@ -54,6 +54,14 @@ type Cluster struct {
 	horizon  []Time
 	runnable []*Shard
 	xlinks   []*Link // links with from != to (the only ones that buffer)
+
+	// Parallel-epoch workers: one persistent goroutine per shard index
+	// >= 1, started at a run's first parallel epoch and joined before
+	// that run returns. Each worker acknowledges every epoch it ran, and
+	// its own exit, on done.
+	done     chan struct{}
+	workers  bool // the workers are up
+	inflight int  // epochs handed to workers and not yet acknowledged
 }
 
 // ShardPanicError is the structured wrapper a Cluster run panics with
@@ -148,9 +156,14 @@ type Shard struct {
 	c        *Cluster
 	idx      int
 	eng      *Engine
-	in       []*Link // incoming cross-shard links (horizon inputs)
+	in       []*Link   // incoming cross-shard links (horizon inputs)
+	start    chan Time // epoch limits for this shard's worker (cap 1)
 	panicVal any
 }
+
+// stopWorker is the start token that ends a shard worker; a real epoch
+// limit is never negative.
+const stopWorker = Time(-1)
 
 // NewCluster creates a cluster of n shards (n <= 0 means one per host
 // core, i.e. GOMAXPROCS). Shard 0's engine is seeded exactly like
@@ -169,6 +182,12 @@ func NewCluster(seed uint64, n int) *Cluster {
 	}
 	for i := range c.shards {
 		c.shards[i] = &Shard{c: c, idx: i, eng: NewEngine(shardSeed(seed, i))}
+	}
+	if n > 1 {
+		c.done = make(chan struct{}, n-1) // one slot per worker: an acknowledgement never waits
+		for _, s := range c.shards[1:] {
+			s.start = make(chan Time, 1)
+		}
 	}
 	return c
 }
@@ -225,7 +244,6 @@ func (c *Cluster) Connect(from, to *Shard, lookahead Time) *Link {
 	l := &Link{id: len(c.links), from: from, to: to, lookahead: lookahead}
 	c.links = append(c.links, l)
 	if from != to {
-		l.ch = make(chan linkMsg, linkChanCap)
 		to.in = append(to.in, l)
 		c.xlinks = append(c.xlinks, l)
 	}
@@ -260,6 +278,7 @@ func (c *Cluster) Run() error {
 // horizon, then run every shard with work inside its horizon in parallel
 // and barrier on completion.
 func (c *Cluster) run(t Time) {
+	defer c.stopWorkers()
 	for {
 		for _, l := range c.xlinks {
 			l.drain()
@@ -332,16 +351,7 @@ func (c *Cluster) run(t Time) {
 			s := c.runnable[0]
 			runShard(s, c.horizon[s.idx]-1)
 		default:
-			var wg sync.WaitGroup
-			for _, s := range c.runnable {
-				wg.Add(1)
-				//dipcvet:goroutine-ok this IS the barrier machinery: shards run disjoint state between barriers
-				go func(s *Shard) {
-					defer wg.Done()
-					runShard(s, c.horizon[s.idx]-1)
-				}(s)
-			}
-			wg.Wait()
+			c.parallelEpoch()
 		}
 		for _, s := range c.shards {
 			if s.panicVal != nil {
@@ -351,6 +361,73 @@ func (c *Cluster) run(t Time) {
 			}
 		}
 	}
+}
+
+// parallelEpoch runs every runnable shard to its horizon at once. The
+// coordinator keeps the lowest-indexed runnable shard for itself and
+// hands each other one its limit over the shard's start channel, then
+// collects one completion per hand-off from done. The channel operations
+// are the barrier's happens-before edges: the send orders the previous
+// drain before the epoch, each completion orders the shard's sends and
+// state changes before the next drain.
+//
+//dipcvet:noalloc
+func (c *Cluster) parallelEpoch() {
+	if !c.workers {
+		c.startWorkers()
+	}
+	c.pepoch++
+	for _, s := range c.runnable[1:] {
+		s.start <- c.horizon[s.idx] - 1
+		c.inflight++
+	}
+	head := c.runnable[0]
+	runShard(head, c.horizon[head.idx]-1)
+	for ; c.inflight > 0; c.inflight-- {
+		<-c.done
+	}
+}
+
+// startWorkers launches one worker per shard index >= 1.
+func (c *Cluster) startWorkers() {
+	for _, s := range c.shards[1:] {
+		//dipcvet:goroutine-ok barrier worker: runs its shard only between a start token and the completion the coordinator waits for, so shards touch disjoint state; joined before run returns
+		go c.worker(s, s.start)
+	}
+	c.workers = true
+}
+
+// worker runs shard s's parallel epochs until it receives stopWorker.
+// It reads start from its argument, never from the Shard, so nothing a
+// later run does to the Shard can race with a worker that is exiting.
+func (c *Cluster) worker(s *Shard, start <-chan Time) {
+	for {
+		limit := <-start
+		if limit == stopWorker {
+			c.done <- struct{}{}
+			return
+		}
+		runShard(s, limit)
+		c.done <- struct{}{}
+	}
+}
+
+// stopWorkers joins the workers, if they are up: it first collects any
+// epoch still in flight (only a coordinator unwinding mid-epoch leaves
+// one), then stops every worker and waits for each to acknowledge. No
+// worker goroutine outlives the run call that started it.
+func (c *Cluster) stopWorkers() {
+	if !c.workers {
+		return
+	}
+	for _, s := range c.shards[1:] {
+		s.start <- stopWorker
+	}
+	for n := c.inflight + len(c.shards) - 1; n > 0; n-- {
+		<-c.done
+	}
+	c.inflight = 0
+	c.workers = false
 }
 
 // runShard advances one shard to its horizon, capturing a panic (already

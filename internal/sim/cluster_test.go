@@ -3,9 +3,14 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/hostalloc"
 )
 
 // ringPart is one partition of the cluster test model: a token-relay part
@@ -131,11 +136,11 @@ func TestClusterStressRandomized(t *testing.T) {
 	}
 }
 
-// TestClusterSpillOverflow floods one cross-shard link with far more
-// messages than the channel fast path holds in a single epoch, forcing
-// the mutex-guarded spill, and checks nothing is lost or reordered.
+// TestClusterSpillOverflow floods one cross-shard link with 809 messages
+// in a single epoch, growing the link's buffer through several
+// reallocations, and checks nothing is lost or reordered.
 func TestClusterSpillOverflow(t *testing.T) {
-	const n = linkChanCap*3 + 41
+	const n = 809
 	c := NewCluster(1, 2)
 	l := c.Connect(c.Shard(0), c.Shard(1), 10)
 	var got []uint64
@@ -294,6 +299,119 @@ func TestClusterIntraShardDispatchNoAlloc(t *testing.T) {
 	if count < 5000 {
 		t.Fatalf("handler ran %d times, expected thousands", count)
 	}
+}
+
+// pingCluster builds a 2-shard model with cross-shard traffic both ways:
+// on each shard a proc sleeps a random few ticks and sends a word to the
+// other shard, whose link handler counts it. Both shards nearly always
+// have work inside their horizons, so most epochs are parallel.
+func pingCluster() (*Cluster, *[2]uint64) {
+	c := NewCluster(1, 2)
+	var got [2]uint64
+	links := [2]*Link{
+		c.Connect(c.Shard(0), c.Shard(1), 100),
+		c.Connect(c.Shard(1), c.Shard(0), 100),
+	}
+	links[0].SetHandler(func(uint64) { got[1]++ })
+	links[1].SetHandler(func(uint64) { got[0]++ })
+	for i := range links {
+		l, rng := links[i], NewRand(uint64(i)+1)
+		c.Shard(i).Engine().Spawn(fmt.Sprintf("pinger%d", i), 0, func(p *Proc) {
+			for k := uint64(0); ; k++ {
+				p.Sleep(Time(1 + rng.Intn(30)))
+				l.SendU64(100+Time(rng.Intn(50)), k)
+			}
+		})
+	}
+	return c, &got
+}
+
+// TestClusterParallelEpochNoAlloc pins the barrier's steady state: once
+// the link buffers and heaps have grown, a parallel epoch — dispatch to
+// the worker, the coordinator's own shard, the join, the link drain —
+// allocates nothing. The count is marginal, allocs(2W) - allocs(W) over
+// RunUntil windows, so the per-run worker start-up cancels out.
+func TestClusterParallelEpochNoAlloc(t *testing.T) {
+	c, got := pingCluster()
+	c.RunUntil(200000) // warm the heaps, link buffers and epoch scratch
+	window := func(w Time) (allocs, par uint64) {
+		p0 := c.pepoch
+		allocs = hostalloc.Section(func(start, stop func()) {
+			start()
+			c.RunUntil(c.Shard(0).Engine().Now() + w)
+			stop()
+		})
+		return allocs, c.pepoch - p0
+	}
+	const w = 20000
+	a1, p1 := window(w)
+	a2, p2 := window(2 * w)
+	if p1 == 0 || p2 <= p1 {
+		t.Fatalf("windows ran %d and %d parallel epochs; the test needs the longer window to run more", p1, p2)
+	}
+	if a2 > a1 {
+		t.Errorf("parallel epochs allocate: %d allocs over %d parallel epochs, %d over %d (marginal %.2f per parallel epoch), want 0",
+			a1, p1, a2, p2, float64(a2-a1)/float64(p2-p1))
+	}
+	if got[0] == 0 || got[1] == 0 {
+		t.Fatalf("no cross-shard traffic: shard 0 got %d, shard 1 got %d", got[0], got[1])
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms, so goroutines that earlier tests' runs had already joined
+// but that were still returning are not counted.
+func settledGoroutines() int {
+	for {
+		n := runtime.NumGoroutine()
+		time.Sleep(20 * time.Millisecond)
+		if runtime.NumGoroutine() == n {
+			return n
+		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to settle back to want:
+// a joined worker has acknowledged its exit but may not have returned
+// yet when run does.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterWorkersDoNotOutliveRun: the barrier's workers start inside
+// a run call and are joined before it returns, on the normal path and
+// when a shard panic unwinds it, so consecutive runs neither leak nor
+// accumulate goroutines.
+func TestClusterWorkersDoNotOutliveRun(t *testing.T) {
+	c, _ := pingCluster()
+	base := settledGoroutines()
+	for i := 0; i < 5; i++ {
+		p0 := c.pepoch
+		c.RunUntil(c.Shard(0).Engine().Now() + 5000)
+		if c.pepoch == p0 {
+			t.Fatalf("run %d had no parallel epoch", i)
+		}
+		waitGoroutines(t, base, fmt.Sprintf("after run %d", i))
+	}
+	// A callback, not a proc, panics, so no proc goroutine exits with it.
+	c.Shard(1).Engine().At(1000, func() { panic("boom") })
+	func() {
+		defer func() {
+			var spe *ShardPanicError
+			if err, _ := recover().(error); !errors.As(err, &spe) || spe.Shard != 1 {
+				t.Fatalf("recovered %v, want a shard 1 ShardPanicError", err)
+			}
+		}()
+		c.RunUntil(c.Shard(0).Engine().Now() + 5000)
+	}()
+	waitGoroutines(t, base, "after a shard panic")
 }
 
 // BenchmarkClusterRing measures the sharded token ring end to end

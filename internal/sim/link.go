@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Link is a unidirectional message channel between two shards of a
 // Cluster (or within one shard). Links are the only sanctioned way for
@@ -41,14 +38,13 @@ type Link struct {
 	sendIdx   uint64
 	handler   func(v uint64)
 
-	// Cross-shard buffering: a bounded channel fast path with a
-	// mutex-guarded spill slice once the channel fills. Sends never
-	// block (the receiver only drains at the epoch barrier, so blocking
-	// would deadlock), and drain order is irrelevant — the receiving
-	// heap re-orders everything by (at, banded seq).
-	ch    chan linkMsg
-	mu    sync.Mutex
-	spill []linkMsg
+	// Cross-shard buffering: one single-writer slice. During an epoch
+	// only the sending shard appends to it; the barrier drains it after
+	// the epoch's completion receive has ordered those appends before
+	// the drain (see Cluster.parallelEpoch). Sends never block, and drain
+	// order is irrelevant — the receiving heap re-orders everything by
+	// (at, banded seq).
+	buf []linkMsg
 }
 
 // linkMsg is one in-flight cross-shard message.
@@ -63,7 +59,6 @@ const (
 	linkSendBits = 40      // per-link send counter width
 	linkIDBits   = 23      // link id width
 	linkBand     = 1 << 63 // band bit: link deliveries sort after engine events
-	linkChanCap  = 256     // cross-shard channel fast-path depth
 )
 
 // Lookahead returns the minimum simulated delay declared at Connect time.
@@ -123,14 +118,7 @@ func (l *Link) send(d Time, v uint64, fn func()) {
 		l.to.eng.pushSeq(at, seq, l, v, fn)
 		return
 	}
-	m := linkMsg{at: at, seq: seq, u64: v, fn: fn}
-	select {
-	case l.ch <- m:
-	default:
-		l.mu.Lock()
-		l.spill = append(l.spill, m) //dipcvet:alloc-ok overflow lane past the 256-entry channel; drained and capacity-reused every epoch
-		l.mu.Unlock()
-	}
+	l.buf = append(l.buf, linkMsg{at: at, seq: seq, u64: v, fn: fn}) //dipcvet:alloc-ok grows only to the link's per-epoch high-water mark; drained and capacity-reused every epoch
 }
 
 // panicBelowLookahead is the send fast path's cold failure lane: message
@@ -149,24 +137,16 @@ func (l *Link) panicNoHandler() {
 }
 
 // drain moves every buffered message into the receiving shard's heap. It
-// runs only at the epoch barrier, single-threaded, after all shard
-// goroutines have joined; the channel receive provides the happens-before
-// edge for the fast path and the mutex for the spill.
+// runs only at the epoch barrier, single-threaded, after every shard of
+// the epoch has been joined. Drained slots are cleared so the buffer
+// keeps no closure reachable.
+//
+//dipcvet:noalloc
 func (l *Link) drain() {
-	for {
-		select {
-		case m := <-l.ch:
-			l.to.eng.pushSeq(m.at, m.seq, l, m.u64, m.fn)
-		default:
-			l.mu.Lock()
-			sp := l.spill
-			l.spill = l.spill[:0]
-			l.mu.Unlock()
-			for i := range sp {
-				l.to.eng.pushSeq(sp[i].at, sp[i].seq, l, sp[i].u64, sp[i].fn)
-				sp[i] = linkMsg{}
-			}
-			return
-		}
+	for i := range l.buf {
+		m := &l.buf[i]
+		l.to.eng.pushSeq(m.at, m.seq, l, m.u64, m.fn)
 	}
+	clear(l.buf)
+	l.buf = l.buf[:0]
 }

@@ -20,8 +20,15 @@ import (
 // overstates the true value by at most one bucket width — a relative
 // error bound of 1/histHalf (3.125% at histSubBits=6). The maximum is
 // tracked exactly and caps every quantile, so Quantile(1) is exact.
+//
+// The counters are allocated by the first Record (or the first Merge of
+// a non-empty histogram), so a histogram that never records costs only
+// its header: per-machine accumulators on machines that complete no
+// operations stay small. Counters are therefore shared by value copies
+// of a histogram that has recorded; give each partition its own
+// Histogram (or Accumulator) and combine them with Merge.
 type Histogram struct {
-	counts [histBuckets]int64
+	counts *[histBuckets]int64 // nil while total == 0
 	total  int64
 	max    sim.Time
 }
@@ -73,12 +80,19 @@ func (h *Histogram) Record(v sim.Time) {
 	if v < 0 {
 		v = 0
 	}
+	if h.counts == nil {
+		h.materialize()
+	}
 	h.counts[histIndex(uint64(v))]++
 	h.total++
 	if v > h.max {
 		h.max = v
 	}
 }
+
+// materialize allocates the counters; it runs once per histogram, off
+// Record's allocation-free steady state.
+func (h *Histogram) materialize() { h.counts = new([histBuckets]int64) }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.total }
@@ -90,6 +104,12 @@ func (h *Histogram) Max() sim.Time { return h.max }
 // max. Merging shard-local histograms in any order yields the same
 // result as recording every observation into one histogram.
 func (h *Histogram) Merge(other *Histogram) {
+	if other.counts == nil {
+		return // empty: nothing to add, and max is 0
+	}
+	if h.counts == nil {
+		h.materialize()
+	}
 	for i := range h.counts {
 		h.counts[i] += other.counts[i]
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -87,7 +88,7 @@ func TestHistogramMergeEqualsSingle(t *testing.T) {
 	for i := range parts {
 		merged.Merge(&parts[i])
 	}
-	if merged != single {
+	if !reflect.DeepEqual(merged, single) {
 		t.Fatalf("merged histogram differs from single-stream histogram")
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
@@ -116,7 +117,7 @@ func TestHistogramMergeProperty(t *testing.T) {
 		for i := len(parts) - 1; i >= 0; i-- {
 			merged.Merge(&parts[i])
 		}
-		if merged != single {
+		if !reflect.DeepEqual(merged, single) {
 			t.Fatalf("trial %d (shards=%d, n=%d): merged != single", trial, shards, n)
 		}
 		for _, q := range []float64{0.5, 0.99, 0.999, 1} {
@@ -161,5 +162,32 @@ func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 || h.P50() != 0 {
 		t.Fatalf("empty histogram reads non-zero")
+	}
+}
+
+// Counters are allocated on first use: an empty histogram holds none,
+// merging empties keeps it that way and reads zero everywhere, and
+// merging an empty histogram into a recorded one changes nothing.
+func TestHistogramLazyCounters(t *testing.T) {
+	var a, b Histogram
+	a.Merge(&b)
+	if a.counts != nil || b.counts != nil {
+		t.Fatalf("merging empty histograms materialized counters")
+	}
+	if a.Count() != 0 || a.Max() != 0 || a.Quantile(0.5) != 0 || a.Quantile(1) != 0 {
+		t.Fatalf("merged empty histogram reads non-zero")
+	}
+	for _, v := range []sim.Time{3, sim.Micros(7), sim.Micros(900)} {
+		a.Record(v)
+	}
+	want := a
+	wantCounts := *a.counts
+	a.Merge(&b)
+	if a.total != want.total || a.max != want.max || *a.counts != wantCounts {
+		t.Fatalf("merging an empty histogram changed a recorded one")
+	}
+	b.Merge(&a)
+	if !reflect.DeepEqual(b, a) || b.counts == a.counts {
+		t.Fatalf("merging into an empty histogram must copy the counters into its own array")
 	}
 }
