@@ -163,22 +163,39 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		report(pass, call.Pos(), "call packs %d variadic argument(s) into a slice", len(call.Args)-sig.Params().Len()+1)
 	}
 
-	// Interface boxing of arguments.
+	// Interface boxing of arguments. In f(g()) the one argument is g's
+	// result tuple, spread over f's parameters: each result is checked
+	// against its own parameter.
 	for i, arg := range call.Args {
-		var param types.Type
-		switch {
-		case sig.Variadic() && i >= sig.Params().Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // the slice is passed through, no per-element boxing
+		if tup, ok := pass.TypeOf(arg).(*types.Tuple); ok {
+			for j := 0; j < tup.Len(); j++ {
+				if param := paramType(sig, call, j); param != nil {
+					checkBoxedType(pass, arg.Pos(), tup.At(j).Type(), param, "argument")
+				}
 			}
-			param = sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem()
-		case i < sig.Params().Len():
-			param = sig.Params().At(i).Type()
-		default:
 			continue
 		}
-		checkBoxing(pass, arg, param, "argument")
+		if param := paramType(sig, call, i); param != nil {
+			checkBoxing(pass, arg, param, "argument")
+		}
 	}
+}
+
+// paramType is the type argument i of call is stored into, or nil when
+// nothing is stored per argument (the slice of f(xs...) is passed
+// through) or there is no such parameter.
+func paramType(sig *types.Signature, call *ast.CallExpr, i int) types.Type {
+	n := sig.Params().Len()
+	switch {
+	case sig.Variadic() && i >= n-1:
+		if call.Ellipsis.IsValid() {
+			return nil
+		}
+		return sig.Params().At(n - 1).Type().(*types.Slice).Elem()
+	case i < n:
+		return sig.Params().At(i).Type()
+	}
+	return nil
 }
 
 // checkConversion flags T(x) conversions that allocate.
@@ -247,9 +264,6 @@ func checkReturn(pass *analysis.Pass, ret *ast.ReturnStmt, sig *types.Signature)
 // constants become compiler statics; interface-to-interface moves copy
 // the existing box.
 func checkBoxing(pass *analysis.Pass, e ast.Expr, dst types.Type, what string) {
-	if !types.IsInterface(dst.Underlying()) {
-		return
-	}
 	tv, ok := pass.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return
@@ -257,7 +271,15 @@ func checkBoxing(pass *analysis.Pass, e ast.Expr, dst types.Type, what string) {
 	if tv.Value != nil || tv.IsNil() {
 		return // constants and nil are free
 	}
-	src := tv.Type
+	checkBoxedType(pass, e.Pos(), tv.Type, dst, what)
+}
+
+// checkBoxedType reports pos if storing a value of type src into dst
+// boxes a concrete non-pointer value into an interface.
+func checkBoxedType(pass *analysis.Pass, pos token.Pos, src, dst types.Type, what string) {
+	if !types.IsInterface(dst.Underlying()) {
+		return
+	}
 	switch src.Underlying().(type) {
 	case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return
@@ -266,7 +288,7 @@ func checkBoxing(pass *analysis.Pass, e ast.Expr, dst types.Type, what string) {
 			return
 		}
 	}
-	report(pass, e.Pos(), "%s boxes %s into %s and allocates; route the value through an unboxed lane or a pointer", what, src, dst)
+	report(pass, pos, "%s boxes %s into %s and allocates; route the value through an unboxed lane or a pointer", what, src, dst)
 }
 
 func unparen(e ast.Expr) ast.Expr {

@@ -77,6 +77,24 @@ func boxing(b *box, n int, e error) any {
 	return n // want `boxes int into any`
 }
 
+// caller has the shape of a transport's fault-aware call.
+type caller interface {
+	TryCall(op string) (any, error)
+}
+
+func mustCall(out any, err error) any { return out }
+func count() (int, error)             { return 0, nil }
+
+// tuples: f(g()) spreads g's results over f's parameters, and each
+// result is judged against its own parameter, not the whole tuple.
+//
+//dipcvet:noalloc
+func tuples(c caller) any {
+	out := mustCall(c.TryCall("op")) // interface results into interface params: not flagged
+	mustCall(count())                // want `argument boxes int into any`
+	return out
+}
+
 // cold is unmarked: nothing here is flagged even though it allocates.
 func cold(n int) error {
 	return fmt.Errorf("all of this is fine: %d", n)

@@ -40,7 +40,7 @@ func marginalAllocs(t *testing.T, w sim.Time, run func(window sim.Time) int64) f
 //     may abandon a request that is still queued, so records cannot be
 //     recycled) plus amortized histogram and queue growth.
 //
-// Each bound is the measured value (2.6 for oltp.Run in both modes, 1.0
+// Each bound is the measured value (2.6 for oltp.Run in every mode, 1.0
 // for RunOpenLoop) plus under half an allocation of headroom, so a
 // change that adds even one allocation per request fails.
 func TestRequestPathMarginalAllocs(t *testing.T) {
@@ -55,11 +55,17 @@ func TestRequestPathMarginalAllocs(t *testing.T) {
 		{"oltp-dipc", 3.0, func(window sim.Time) int64 {
 			return int64(Run(Config{Mode: ModeDIPC, InMemory: true, Window: window, Seed: 1}).Ops)
 		}},
+		{"oltp-ideal", 3.0, func(window sim.Time) int64 {
+			return int64(Run(Config{Mode: ModeIdeal, InMemory: true, Window: window, Seed: 1}).Ops)
+		}},
 		{"openloop-linux", 1.1, func(window sim.Time) int64 {
 			return openLoopOps(ModeLinux, window)
 		}},
 		{"openloop-dipc", 1.1, func(window sim.Time) int64 {
 			return openLoopOps(ModeDIPC, window)
+		}},
+		{"openloop-ideal", 1.1, func(window sim.Time) int64 {
+			return openLoopOps(ModeIdeal, window)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -112,16 +112,6 @@ func NewBreaker(inner Transport, cfg BreakerConfig) *Breaker {
 	return &Breaker{Inner: inner, cfg: cfg.withDefaults()}
 }
 
-// Call implements Transport (fault-free path; panics on residual error
-// like Retrier.Call).
-func (b *Breaker) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := b.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(fmt.Sprintf("oltp: breaker: %v", err))
-	}
-	return out
-}
-
 // TryCall implements Transport: consult the breaker, maybe fast-fail,
 // otherwise call through and record the outcome.
 //

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -12,14 +11,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Failure-aware OLTP path: the fault-free runners (Run, RunChain) model a
-// world where every call succeeds, which is what the paper measures. This
-// file adds the first real error path — per-call fault verdicts, a
+// Failure-aware OLTP path: the paper measures a world where every call
+// succeeds. This file adds the error path — per-call fault verdicts, a
 // deadline/backoff retry policy, in-band error propagation up a tier
 // chain — so the chaos scenarios can measure how each transport degrades
-// when tiers die, links drop, or calls time out. Everything here is
-// additive: with a nil plan the TryCall paths make exactly the same
-// charges as Call, and the fault-free scenarios never enter this file.
+// when tiers die, links drop, or calls time out. With a nil plan none of
+// it charges anything: a nil fault site draws no verdict, a Retrier with
+// no failure makes one attempt and never sleeps, and no RemoteError is
+// ever built. So the fault-free chain sweep runs through RunChainFaults
+// too, and its results are those of a plain call chain.
 
 // RemoteError is an in-band failure traveling up the chain as an
 // ordinary response payload — the simulation analogue of a 5xx page: the
@@ -69,8 +69,7 @@ func injectFault(t *kernel.Thread, site *faults.CallSite) error {
 // Retrier wraps a Transport with a capped-exponential-backoff retry
 // policy and failure accounting. Its TryCall re-attempts the inner call
 // up to Policy.MaxRetries times, sleeping Policy.BackoffFor(k) between
-// attempts; its Call panics on residual error (fault-free configurations
-// should never wrap transports in a Retrier and then fail).
+// attempts, and returns the residual error of the last one.
 type Retrier struct {
 	Inner  Transport
 	Policy faults.RetryPolicy
@@ -93,15 +92,6 @@ func retryJitter(rp faults.RetryPolicy, plan *faults.Plan, hop int) *sim.Rand {
 		return nil
 	}
 	return plan.JitterStream(fmt.Sprintf("hop%d", hop))
-}
-
-// Call implements Transport.
-func (r *Retrier) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := r.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(fmt.Sprintf("oltp: retries exhausted for %q: %v", op, err))
-	}
-	return out
 }
 
 // TryCall implements Transport with retries: attempt, classify, back
@@ -173,6 +163,9 @@ type ChainFaultsResult struct {
 	RetryAmp     float64           // attempts per operation
 	AvgLatency   sim.Time          // mean latency of in-window completions that succeeded
 	Breakdown    stats.Breakdown
+	// CallsPerOp is cross-tier calls (attempts) per completed operation,
+	// over the whole run: the §7.5 calls-per-operation accounting.
+	CallsPerOp float64
 }
 
 // applyDefaults fills the zero-value fields of a fault-aware chain
@@ -213,181 +206,36 @@ func (cfg *ChainFaultsConfig) applyDefaults() {
 	}
 }
 
-// buildChainTiers wires the per-mode tier chain behind the front
-// process: processes, workers, transports, fault sites, and injector
-// process targets, exactly as RunChain does fault-free. Each hop's
-// transport is passed through wrap (hop index 1..Depth) so callers
-// choose the resilience stack (Retrier, Breaker). On return every
-// element of transports is populated and all init threads have run.
-func buildChainTiers(cfg *ChainFaultsConfig, eng *sim.Engine, m *kernel.Machine,
-	prm *Params, inj *faults.Injector, wrap func(Transport, int) Transport,
-) (front *kernel.Process, rt *core.Runtime, transports []Transport) {
-	// site names the per-call fault stream of the hop into tier i; a
-	// dropped request costs its caller exactly the retry deadline.
-	site := func(i int) *faults.CallSite {
-		return cfg.Plan.Site(fmt.Sprintf("hop%d", i), cfg.Retry.Deadline)
-	}
-
-	transports = make([]Transport, cfg.Depth)
-	handler := func(i int) Handler {
-		return func(t *kernel.Thread, op string, payload any) (any, int) {
-			t.ExecUser(cfg.Work)
-			if i < cfg.Depth {
-				if _, err := transports[i].TryCall(t, "hop", payload, cfg.ReqBytes); err != nil {
-					return &RemoteError{Tier: fmt.Sprintf("svc%d", i+1), Err: err}, cfg.ReqBytes
-				}
-			}
-			return payload, cfg.ReqBytes
-		}
-	}
-
-	switch cfg.Mode {
-	case ModeIdeal:
-		front = m.NewProcess("chain-app")
-		inj.Proc("chain-app", m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			transports[i-1] = wrap(&DirectTransport{H: handler(i), Faults: site(i)}, i)
-		}
-
-	case ModeLinux:
-		front = m.NewProcess("gateway")
-		front.WorkingSet = 48 << 10
-		inj.Proc("gateway", m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			proc := m.NewProcess(fmt.Sprintf("svc%d", i))
-			proc.WorkingSet = 96 << 10
-			inj.Proc(proc.Name, m, proc)
-			st := NewSockTransport(prm, handler(i))
-			st.Proc = proc
-			st.Faults = site(i)
-			transports[i-1] = wrap(st, i)
-			for w := 0; w < cfg.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("svc%d-%d", i, w), nil, st.Worker)
-			}
-		}
-
-	case ModeDIPC:
-		rt = core.NewRuntime(m)
-		rt.FoldStubs = true
-		front = rt.NewProcess("gateway")
-		inj.Proc("gateway", m, front)
-		svc := make([]*kernel.Process, cfg.Depth+1)
-		for i := 1; i <= cfg.Depth; i++ {
-			svc[i] = rt.NewProcess(fmt.Sprintf("svc%d", i))
-			inj.Proc(svc[i].Name, m, svc[i])
-		}
-		calleePolicy := core.RegConfidentiality | core.StackConfIntegrity | core.DCSConfIntegrity
-		sig := core.Signature{InRegs: 2, OutRegs: 1}
-		for i := cfg.Depth; i >= 1; i-- {
-			i := i
-			m.Spawn(svc[i], fmt.Sprintf("svc%d-init", i), nil, func(t *kernel.Thread) {
-				mustEnter(rt, t)
-				if i < cfg.Depth {
-					ents, err := rt.MustImport(t, chainPath(i+1), []core.EntryDesc{
-						{Name: "hop", Sig: sig},
-					})
-					if err != nil {
-						panic(err)
-					}
-					tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-					tr.Faults = site(i + 1)
-					transports[i] = wrap(tr, i+1)
-				}
-				eh, err := rt.EntryRegister(t, rt.DomDefault(t), []core.EntryDesc{
-					{Name: "hop", Fn: handlerEntry(handler(i), "hop"), Sig: sig, Policy: calleePolicy},
-				})
-				if err != nil {
-					panic(err)
-				}
-				if err := rt.Publish(t, chainPath(i), eh); err != nil {
-					panic(err)
-				}
-			})
-			eng.Run()
-		}
-		m.Spawn(front, "gateway-init", nil, func(t *kernel.Thread) {
-			mustEnter(rt, t)
-			ents, err := rt.MustImport(t, chainPath(1), []core.EntryDesc{{Name: "hop", Sig: sig}})
-			if err != nil {
-				panic(err)
-			}
-			tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-			tr.Faults = site(1)
-			transports[0] = wrap(tr, 1)
-		})
-		eng.Run()
-
-	default:
-		panic("oltp: unknown chain mode")
-	}
-	return front, rt, transports
-}
-
-// RunChainFaults executes one chain configuration under a fault plan.
-// It mirrors RunChain's wiring — same tiers, same transports, same
-// closed-loop clients — but every hop goes through TryCall behind a
+// RunChainFaults executes one closed-loop chain configuration, under a
+// fault plan when one is given. Every hop goes through TryCall behind a
 // Retrier, tier failures travel up as RemoteErrors, and the plan's
-// events fire on the sim clock via a faults.Injector. Process targets
-// are named "gateway" and "svc1".."svcN" ("chain-app" for Ideal); the
-// machine target is "m0"; per-call fault sites are "hop1".."hopN".
+// events fire on the sim clock via a faults.Injector; target names are
+// chainMachine's. With a nil plan this is the fault-free chain sweep.
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	cfg.applyDefaults()
+	c := newChainMachine(&cfg, GatewayConfig{Policy: AdmitNone}, nil)
+	c.serve()
 
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
-	prm := DefaultParams()
-	ingress := NewIngress(prm)
-	rel := &stats.Reliability{}
-	inj := faults.NewInjector(cfg.Plan)
-	inj.Machine("m0", m)
-
-	wrap := func(tr Transport, hop int) Transport {
-		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
-	}
-	front, rt, transports := buildChainTiers(&cfg, eng, m, prm, inj, wrap)
-
-	// The plan is wired; schedule its events on the sim clock. A plan
-	// naming a target this mode doesn't have (e.g. killing "svc2" under
-	// Ideal, whose tiers share one process) is a scenario bug — fail loud.
-	if err := inj.Install(); err != nil {
-		panic(fmt.Sprintf("oltp: chaos plan: %v", err))
-	}
-
-	// Gateway worker pool: drives the chain, reports the outcome in-band.
-	for w := 0; w < cfg.Threads; w++ {
-		m.Spawn(front, fmt.Sprintf("gw-%d", w), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := ingress.Recv(t)
-				t.ExecUser(cfg.Work)
-				_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-				req.err = err
-				ingress.Reply(t, req)
-			}
-		})
-	}
-
-	// Closed-loop clients. Ops/latency gate client-side on completion
-	// time; the attempt-level counters window via snapshot-subtraction.
+	// Closed-loop clients living off-machine, as in Run. Ops/latency
+	// gate client-side on completion time; the attempt-level counters
+	// window via snapshot-subtraction.
 	measStart := cfg.Warmup
 	measEnd := cfg.Warmup + cfg.Window
 	var latSum sim.Time
-	var latOps int64
-	for c := 0; c < cfg.Clients; c++ {
-		eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
+	var latOps, opsTotal int64
+	for i := 0; i < cfg.Clients; i++ {
+		c.eng.Spawn(fmt.Sprintf("chain-client-%d", i), 0, func(p *sim.Proc) {
 			for {
 				req := &request{started: p.Now()}
 				req.done = p.PrepareWait()
-				ingress.Submit(req)
+				c.gw.Submit(req, p.Now())
 				p.Wait()
+				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {
 					if req.err != nil {
-						rel.OpsFailed++
+						c.rel.OpsFailed++
 					} else {
-						rel.OpsOK++
+						c.rel.OpsOK++
 						latSum += end - req.started
 						latOps++
 					}
@@ -396,12 +244,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		})
 	}
 
-	var baseRel stats.Reliability
-	var baseBd stats.Breakdown
-	eng.At(measStart, func() { baseRel = *rel; baseBd = m.Snapshot() })
-	eng.RunUntil(measEnd)
-
-	window := rel.Sub(baseRel)
+	window, bd := c.measure()
 	res := &ChainFaultsResult{
 		Config:       cfg,
 		Rel:          window,
@@ -409,10 +252,13 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		ErrorRate:    window.ErrorRate(),
 		Availability: window.Availability(),
 		RetryAmp:     window.RetryAmplification(),
-		Breakdown:    m.Snapshot().Sub(baseBd),
+		Breakdown:    bd,
 	}
 	if latOps > 0 {
 		res.AvgLatency = latSum / sim.Time(latOps)
+	}
+	if opsTotal > 0 {
+		res.CallsPerOp = float64(c.calls()) / float64(opsTotal)
 	}
 	return res
 }

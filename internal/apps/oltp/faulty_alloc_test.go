@@ -13,10 +13,6 @@ import (
 // steady state of a wrapped transport when no fault fires.
 type okTransport struct{ out any }
 
-func (f *okTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	return f.out
-}
-
 func (f *okTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	return f.out, nil
 }

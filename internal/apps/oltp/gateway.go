@@ -10,14 +10,17 @@ import (
 	"repro/internal/stats"
 )
 
-// Admission-control tier: the open-loop front door. Ingress models a
-// well-behaved closed loop where the driver never outruns the server;
-// under open-loop overload an unbounded accept queue is exactly the
-// failure mode (every queued request ages past its deadline, goodput
-// collapses while the server stays 100% busy). Gateway bounds the queue
-// and sheds load by policy, reporting rejections in-band as errors
-// wrapping faults.ErrRejected so clients and stats can tell "shed
-// cheaply at the door" from "failed expensively inside".
+// Admission-control tier: the HTTP front door of every single-machine
+// OLTP runner. Clients live off-machine (the DVDStore driver host), so
+// submission costs nothing locally; the front tier's accept/read/write
+// syscalls are charged in full. The unbounded AdmitNone door suits a
+// closed loop, whose driver never outruns the server; under open-loop
+// overload an unbounded accept queue is exactly the failure mode (every
+// queued request ages past its deadline, goodput collapses while the
+// server stays 100% busy). The other policies bound the queue and shed
+// load, reporting rejections in-band as errors wrapping
+// faults.ErrRejected so clients and stats can tell "shed cheaply at the
+// door" from "failed expensively inside".
 
 // AdmitPolicy selects how the gateway sheds load when the admission
 // queue is full.
@@ -25,7 +28,9 @@ type AdmitPolicy int
 
 const (
 	// AdmitNone is the unbounded baseline: never reject, queue forever.
-	// This is Ingress semantics and exhibits the overload collapse.
+	// It is the closed-loop runners' front door (oltp.Run and
+	// RunChainFaults), and under open-loop overload it exhibits the
+	// collapse.
 	AdmitNone AdmitPolicy = iota
 	// AdmitFIFO is a bounded drop-tail queue: an arrival finding the
 	// queue full is rejected immediately; service order is FIFO.
@@ -127,8 +132,8 @@ func (g *Gateway) reject(req *request, err error) {
 }
 
 // Submit delivers a client request at simulated time now (called from a
-// client sim.Proc, off-machine like Ingress.Submit). A rejected request
-// is completed immediately with an error wrapping faults.ErrRejected.
+// client sim.Proc, off-machine). A rejected request is completed
+// immediately with an error wrapping faults.ErrRejected.
 func (g *Gateway) Submit(req *request, now sim.Time) {
 	if g.cfg.Policy == AdmitToken {
 		g.refill(now)
@@ -216,19 +221,15 @@ func (g *Gateway) pop() *request {
 	}
 }
 
-// Reply sends the response (or the in-band failure) back to the client,
-// charging the write path like Ingress.Reply.
+// Reply sends the response page (or the in-band failure) back to the
+// client, charging the write path.
 func (g *Gateway) Reply(t *kernel.Thread, req *request, err error) {
 	t.Syscall(func() {
 		p := t.Machine().P
 		t.Exec(p.SockKernel+p.KernelCopy(g.prm.IngressResp), stats.BlockKernel)
 	})
 	req.err = err
-	if err != nil {
-		req.done.Wake(0, err)
-		return
-	}
-	req.done.Wake(0, nil)
+	req.done.Wake(0, err)
 }
 
 // Rejected is the total sheds across all reasons.

@@ -8,8 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestIngressMatchesSliceReference drives the ingress queue with a
-// seeded random mix of submissions and receives from one web worker,
+// TestIngressMatchesSliceReference drives the closed-loop runners'
+// front door, the AdmitNone gateway, with a seeded random mix of
+// submissions and receives from one web worker,
 // mirroring each on a plain slice: every received request and every
 // queue length must match the reference. The queue stays short while
 // thousands of requests pass through, so its ring wraps many times.
@@ -19,7 +20,7 @@ func TestIngressMatchesSliceReference(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		eng := sim.NewEngine(seed)
 		m := kernel.NewMachine(eng, cost.Default(), 1)
-		in := NewIngress(DefaultParams())
+		in := NewGateway(DefaultParams(), GatewayConfig{Policy: AdmitNone})
 		handoffs, done := 0, false
 		// A client that hands one request to the parked worker.
 		handoff := &request{}
@@ -28,7 +29,7 @@ func TestIngressMatchesSliceReference(t *testing.T) {
 			for {
 				client = p.PrepareWait()
 				p.Wait()
-				in.Submit(handoff)
+				in.Submit(handoff, p.Now())
 			}
 		})
 		m.Spawn(m.NewProcess("web"), "worker", nil, func(th *kernel.Thread) {
@@ -45,7 +46,7 @@ func TestIngressMatchesSliceReference(t *testing.T) {
 					handoffs++
 				case len(ref) == 0 || rng.Intn(5) < 2:
 					req := &request{}
-					in.Submit(req)
+					in.Submit(req, eng.Now())
 					ref = append(ref, req)
 				default:
 					got := in.Recv(th)

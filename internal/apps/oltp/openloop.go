@@ -1,18 +1,14 @@
 package oltp
 
 import (
-	"fmt"
-
-	"repro/internal/cost"
 	"repro/internal/faults"
-	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// Open-loop OLTP path: the closed-loop runners (Run, RunChain,
-// RunChainFaults) measure peak throughput — clients wait for each
+// Open-loop OLTP path: the closed-loop runners (Run, RunChainFaults)
+// measure peak throughput — clients wait for each
 // response, so offered load can never exceed capacity and the system
 // never sees overload. This runner drives the same tier chain from a
 // load.Generator: arrivals fire at a configured offered rate whether or
@@ -82,9 +78,8 @@ type OpenLoopResult struct {
 }
 
 // RunOpenLoop executes one open-loop chain configuration. Fault-plan
-// target names follow RunChainFaults ("gateway", "svc1".."svcN", "m0",
-// sites "hop1".."hopN") plus the load source "load" for
-// LoadScale/LoadRestore transients.
+// target names follow RunChainFaults (see chainMachine) plus the load
+// source "load" for LoadScale/LoadRestore transients.
 func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	cfg.applyDefaults()
 	if cfg.MeanGap <= 0 {
@@ -99,29 +94,8 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 4 * cfg.Retry.Deadline
 	}
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
-	}
 
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
-	prm := DefaultParams()
-	gw := NewGateway(prm, cfg.Gateway)
-	rel := &stats.Reliability{}
-	inj := faults.NewInjector(cfg.Plan)
-	inj.Machine("m0", m)
-
-	var breakers []*Breaker
-	wrap := func(tr Transport, hop int) Transport {
-		if cfg.Breaker != nil {
-			br := NewBreaker(tr, *cfg.Breaker)
-			breakers = append(breakers, br)
-			tr = br
-		}
-		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
-	}
-	front, rt, transports := buildChainTiers(&cfg.ChainFaultsConfig, eng, m, prm, inj, wrap)
+	c := newChainMachine(&cfg.ChainFaultsConfig, cfg.Gateway, cfg.Breaker)
 
 	// The arrival source is a named fault target so plans can script
 	// load transients (flash crowds, silences) on the sim clock.
@@ -136,31 +110,12 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	}
 	ls := &faults.LoadState{}
 	arr.SetHook(ls)
-	inj.Load("load", eng, ls)
-
-	if err := inj.Install(); err != nil {
-		panic(fmt.Sprintf("oltp: open-loop plan: %v", err))
-	}
-
-	// Gateway worker pool: receive, work, call down the chain, report
-	// the outcome in-band through the gateway's reply path.
-	for w := 0; w < cfg.Threads; w++ {
-		m.Spawn(front, fmt.Sprintf("gw-%d", w), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := gw.Recv(t)
-				t.ExecUser(cfg.Work)
-				_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-				gw.Reply(t, req, err)
-			}
-		})
-	}
+	c.inj.Load("load", c.eng, ls)
+	c.serve()
 
 	measStart := cfg.Warmup
 	measEnd := cfg.Warmup + cfg.Window
-	gen := load.Start(eng, load.Config{
+	gen := load.Start(c.eng, load.Config{
 		Arrivals:     arr,
 		Sessions:     cfg.Sessions,
 		Requests:     cfg.Requests,
@@ -170,16 +125,11 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		MeasureStart: measStart,
 		MeasureEnd:   measEnd,
 		Issue: func(p *sim.Proc, w sim.Waiter) {
-			gw.Submit(&request{started: p.Now(), done: w}, p.Now())
+			c.gw.Submit(&request{started: p.Now(), done: w}, p.Now())
 		},
 	})
 
-	var baseRel stats.Reliability
-	var baseBd stats.Breakdown
-	eng.At(measStart, func() { baseRel = *rel; baseBd = m.Snapshot() })
-	eng.RunUntil(measEnd)
-
-	attempts := rel.Sub(baseRel)
+	attempts, bd := c.measure()
 	res := &OpenLoopResult{
 		Config:       cfg,
 		Offered:      gen.Offered,
@@ -196,16 +146,16 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		P99:          gen.Acc.Hist.P99(),
 		P999:         gen.Acc.Hist.P999(),
 		Max:          gen.Acc.Hist.Max(),
-		Admitted:     gw.Admitted,
-		RejFull:      gw.RejectedFull,
-		RejStale:     gw.RejectedStale,
-		RejToken:     gw.RejectedToken,
-		Breakdown:    m.Snapshot().Sub(baseBd),
+		Admitted:     c.gw.Admitted,
+		RejFull:      c.gw.RejectedFull,
+		RejStale:     c.gw.RejectedStale,
+		RejToken:     c.gw.RejectedToken,
+		Breakdown:    bd,
 	}
 	if ops := gen.Acc.Rel.OpsOK + gen.Acc.Rel.OpsFailed; ops > 0 {
 		res.RetryAmp = float64(attempts.Attempts) / float64(ops)
 	}
-	for _, br := range breakers {
+	for _, br := range c.breakers {
 		res.Trips += br.Trips()
 		res.FastFails += br.FastFails()
 	}

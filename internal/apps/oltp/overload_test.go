@@ -18,14 +18,6 @@ type flakyTransport struct {
 	reached int
 }
 
-func (f *flakyTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := f.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 func (f *flakyTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	f.reached++
 	t.SleepFor(sim.Micros(5))

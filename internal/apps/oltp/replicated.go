@@ -11,11 +11,12 @@
 // Determinism of the boot phase deserves a note: the single-machine
 // dIPC runners interleave eng.Run() between init spawns to order
 // Publish before Import, which a multi-shard cluster cannot do (the
-// cluster clock advances all shards together). Here every dIPC init
-// thread instead sleeps to a fixed slot on the sim clock — tier i
-// publishes at slot (Depth-i), the front imports after all tiers —
-// so wiring is pure intra-machine simulation, identical at every
-// shard count, and provably finished before the first request
+// cluster clock advances all shards together). Each replica's chain is
+// built by the same buildChainTiers, but with no engine to settle:
+// every dIPC init thread instead sleeps to a fixed slot on the sim
+// clock — tier i publishes at slot (Depth-i), the front imports after
+// all tiers — so wiring is pure intra-machine simulation, identical at
+// every shard count, and provably finished before the first request
 // (clients start at a fixed later time).
 package oltp
 
@@ -25,7 +26,6 @@ import (
 	"sort"
 
 	"repro/internal/apps/netpipe"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -161,22 +161,26 @@ func (cfg *ReplicatedConfig) applyDefaults() {
 	cfg.Detector = cfg.Detector.withDefaults()
 }
 
-func (cfg *ReplicatedConfig) validate() {
-	if cfg.Replicas < 1 {
-		panic("oltp: replicated: need at least one replica")
+// Validate reports, with defaults applied, a configuration
+// RunReplicated refuses: request IDs tell apart at most ridClientMask
+// clients, every replica must boot before replicatedBootTime, and the
+// warmup must outlast the boot. Scenario checkers call it before any
+// simulation starts; RunReplicated panics with its error.
+func (cfg ReplicatedConfig) Validate() error {
+	cfg.applyDefaults()
+	switch {
+	case cfg.Replicas < 1:
+		return errors.New("oltp: replicated: need at least one replica")
+	case cfg.Clients > ridClientMask:
+		return fmt.Errorf("oltp: replicated: at most %d clients (ID encoding)", ridClientMask)
+	case sim.Time(cfg.Depth+2)*replicaBootSlot >= replicatedBootTime:
+		return fmt.Errorf("oltp: replicated: depth %d does not boot before %v", cfg.Depth, replicatedBootTime)
+	case cfg.Warmup <= replicatedBootTime:
+		return fmt.Errorf("oltp: replicated: warmup %v must exceed the boot time %v", cfg.Warmup, replicatedBootTime)
+	case cfg.HedgeFraction >= 1:
+		return errors.New("oltp: replicated: hedge fraction must be < 1 (a hedge at the deadline never fires)")
 	}
-	if cfg.Clients > ridClientMask {
-		panic(fmt.Sprintf("oltp: replicated: at most %d clients (ID encoding)", ridClientMask))
-	}
-	if boot := sim.Time(cfg.Depth+2) * replicaBootSlot; boot >= replicatedBootTime {
-		panic(fmt.Sprintf("oltp: replicated: depth %d does not boot before %v", cfg.Depth, replicatedBootTime))
-	}
-	if cfg.Warmup <= replicatedBootTime {
-		panic(fmt.Sprintf("oltp: replicated: warmup %v must exceed the boot time %v", cfg.Warmup, replicatedBootTime))
-	}
-	if cfg.HedgeFraction >= 1 {
-		panic("oltp: replicated: hedge fraction must be < 1 (a hedge at the deadline never fires)")
-	}
+	return nil
 }
 
 // ReplicatedResult is the measurement of one replicated rack run.
@@ -205,117 +209,6 @@ type ReplicatedResult struct {
 	Breakers  [][]BreakerTransition
 	Trips     int64
 	FastFails int64
-}
-
-// buildReplicaTiers wires one replica's intra-machine tier chain behind
-// its front process — buildChainTiers' per-mode wiring with cluster-safe
-// boot: dIPC inits sleep to fixed sim-time slots instead of interleaving
-// eng.Run(), so the same code runs under any shard placement. Names are
-// prefixed with the replica ("r2", "r2.svc1", sites "r2.hop1").
-func buildReplicaTiers(cfg *ReplicatedConfig, m *kernel.Machine, prm *Params,
-	inj *faults.Injector, ri int, work sim.Time, wrap func(Transport, int) Transport,
-) (front *kernel.Process, rt *core.Runtime, transports []Transport) {
-	prefix := fmt.Sprintf("r%d", ri)
-	site := func(i int) *faults.CallSite {
-		return cfg.Plan.Site(fmt.Sprintf("%s.hop%d", prefix, i), cfg.Retry.Deadline)
-	}
-
-	transports = make([]Transport, cfg.Depth)
-	handler := func(i int) Handler {
-		return func(t *kernel.Thread, op string, payload any) (any, int) {
-			t.ExecUser(work)
-			if i < cfg.Depth {
-				if _, err := transports[i].TryCall(t, "hop", payload, cfg.ReqBytes); err != nil {
-					return &RemoteError{Tier: fmt.Sprintf("%s.svc%d", prefix, i+1), Err: err}, cfg.ReqBytes
-				}
-			}
-			return payload, cfg.ReqBytes
-		}
-	}
-
-	switch cfg.Mode {
-	case ModeIdeal:
-		front = m.NewProcess(prefix)
-		inj.Proc(prefix, m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			transports[i-1] = wrap(&DirectTransport{H: handler(i), Faults: site(i)}, i)
-		}
-
-	case ModeLinux:
-		front = m.NewProcess(prefix)
-		front.WorkingSet = 48 << 10
-		inj.Proc(prefix, m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			proc := m.NewProcess(fmt.Sprintf("%s.svc%d", prefix, i))
-			proc.WorkingSet = 96 << 10
-			inj.Proc(proc.Name, m, proc)
-			st := NewSockTransport(prm, handler(i))
-			st.Proc = proc
-			st.Faults = site(i)
-			transports[i-1] = wrap(st, i)
-			for w := 0; w < cfg.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("%s.svc%d-%d", prefix, i, w), nil, st.Worker)
-			}
-		}
-
-	case ModeDIPC:
-		rt = core.NewRuntime(m)
-		rt.FoldStubs = true
-		front = rt.NewProcess(prefix)
-		inj.Proc(prefix, m, front)
-		svc := make([]*kernel.Process, cfg.Depth+1)
-		for i := 1; i <= cfg.Depth; i++ {
-			svc[i] = rt.NewProcess(fmt.Sprintf("%s.svc%d", prefix, i))
-			inj.Proc(svc[i].Name, m, svc[i])
-		}
-		calleePolicy := core.RegConfidentiality | core.StackConfIntegrity | core.DCSConfIntegrity
-		sig := core.Signature{InRegs: 2, OutRegs: 1}
-		for i := cfg.Depth; i >= 1; i-- {
-			i := i
-			// Tier i wires at slot Depth-i: deeper tiers publish first,
-			// so every MustImport finds its target already published.
-			slot := sim.Time(cfg.Depth-i) * replicaBootSlot
-			m.Spawn(svc[i], fmt.Sprintf("%s.svc%d-init", prefix, i), nil, func(t *kernel.Thread) {
-				t.SleepFor(slot)
-				mustEnter(rt, t)
-				if i < cfg.Depth {
-					ents, err := rt.MustImport(t, chainPath(i+1), []core.EntryDesc{
-						{Name: "hop", Sig: sig},
-					})
-					if err != nil {
-						panic(err)
-					}
-					tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-					tr.Faults = site(i + 1)
-					transports[i] = wrap(tr, i+1)
-				}
-				eh, err := rt.EntryRegister(t, rt.DomDefault(t), []core.EntryDesc{
-					{Name: "hop", Fn: handlerEntry(handler(i), "hop"), Sig: sig, Policy: calleePolicy},
-				})
-				if err != nil {
-					panic(err)
-				}
-				if err := rt.Publish(t, chainPath(i), eh); err != nil {
-					panic(err)
-				}
-			})
-		}
-		m.Spawn(front, prefix+"-init", nil, func(t *kernel.Thread) {
-			t.SleepFor(sim.Time(cfg.Depth) * replicaBootSlot)
-			mustEnter(rt, t)
-			ents, err := rt.MustImport(t, chainPath(1), []core.EntryDesc{{Name: "hop", Sig: sig}})
-			if err != nil {
-				panic(err)
-			}
-			tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-			tr.Faults = site(1)
-			transports[0] = wrap(tr, 1)
-		})
-
-	default:
-		panic("oltp: unknown chain mode")
-	}
-	return front, rt, transports
 }
 
 // planDeadIntervals derives, from the static fault plan, the windows
@@ -360,8 +253,10 @@ func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 // detector probes replica health on the same links, and the configured
 // policy decides where each attempt (and each hedge) goes.
 func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg.applyDefaults()
-	cfg.validate()
 	R := cfg.Replicas
 
 	cl := sim.NewCluster(cfg.Seed, cfg.Shards)
@@ -438,7 +333,12 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 			}
 			return tr
 		}
-		front, rt, trs := buildReplicaTiers(&cfg, ms[mi], prm, inj, mi, work, wrap)
+		name := fmt.Sprintf("r%d", mi)
+		front, rt, trs := buildChainTiers(&chainSpec{
+			mode: cfg.Mode, depth: cfg.Depth, threads: cfg.Threads, work: work,
+			reqBytes: cfg.ReqBytes, plan: cfg.Plan, deadline: cfg.Retry.Deadline,
+			front: name, prefix: name + ".",
+		}, ms[mi], prm, inj, wrap)
 		fronts[r] = front
 
 		// Request link m0 -> replica: probes echo straight back from the
@@ -514,10 +414,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 						continue
 					}
 					t.ExecUser(work)
-					out, err := trs[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-					if err == nil {
-						_, err = unwrapRemote(out)
-					}
+					_, err := trs[0].TryCall(t, "hop", nil, cfg.ReqBytes)
 					class := uint64(respOK)
 					if err != nil {
 						if errors.Is(err, faults.ErrRejected) {

@@ -162,16 +162,6 @@ func NewRouter(replicas []Transport, policy RoutePolicy, health *ReplicaHealth, 
 	}
 }
 
-// Call implements Transport (fault-free path; panics on residual error
-// like Retrier.Call).
-func (r *Router) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := r.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(fmt.Sprintf("oltp: router: %v", err))
-	}
-	return out
-}
-
 // TryCall implements Transport: try each replica once, first success
 // wins, last error propagates when every replica failed.
 func (r *Router) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {

@@ -28,14 +28,6 @@ func (s *scriptedTransport) TryCall(t *kernel.Thread, op string, payload any, re
 	return s.out, nil
 }
 
-func (s *scriptedTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := s.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 func (s *scriptedTransport) Calls() uint64       { return s.calls }
 func (s *scriptedTransport) Lookahead() sim.Time { return 0 }
 
@@ -67,11 +59,11 @@ func TestRouterFailoverSkipsSuspected(t *testing.T) {
 	c := &scriptedTransport{out: "c"}
 	r := NewRouter([]Transport{a, b, c}, PolicyFailover, health, rel)
 	inThread(t, func(th *kernel.Thread) {
-		if out := r.Call(th, "op", nil, 8); out != "a" {
+		if out := mustTryCall(t, r, th, "op", nil, 8); out != "a" {
 			t.Errorf("healthy set routed to %v, want a", out)
 		}
 		health.Suspect(0, th.Machine().Eng.Now())
-		if out := r.Call(th, "op", nil, 8); out != "b" {
+		if out := mustTryCall(t, r, th, "op", nil, 8); out != "b" {
 			t.Errorf("suspected primary still routed, got %v, want b", out)
 		}
 		if rel.Failovers != 1 {
@@ -80,7 +72,7 @@ func TestRouterFailoverSkipsSuspected(t *testing.T) {
 		health.Suspect(1, th.Machine().Eng.Now())
 		health.Suspect(2, th.Machine().Eng.Now())
 		// Fully-suspected set must still make progress.
-		if out := r.Call(th, "op", nil, 8); out != "a" {
+		if out := mustTryCall(t, r, th, "op", nil, 8); out != "a" {
 			t.Errorf("fully-suspected set routed to %v, want a (plain rotation)", out)
 		}
 	})
@@ -92,8 +84,8 @@ func TestRouterRoundRobinRotates(t *testing.T) {
 	r := NewRouter([]Transport{a, b}, PolicyRoundRobin, nil, nil)
 	inThread(t, func(th *kernel.Thread) {
 		got := []any{
-			r.Call(th, "op", nil, 8), r.Call(th, "op", nil, 8),
-			r.Call(th, "op", nil, 8), r.Call(th, "op", nil, 8),
+			mustTryCall(t, r, th, "op", nil, 8), mustTryCall(t, r, th, "op", nil, 8),
+			mustTryCall(t, r, th, "op", nil, 8), mustTryCall(t, r, th, "op", nil, 8),
 		}
 		want := []any{"a", "b", "a", "b"}
 		for i := range want {

@@ -76,29 +76,22 @@ type Result struct {
 
 // UserShare, KernelShare, IdleShare report the Fig. 1 breakdown
 // fractions of the measurement window.
-func (r *Result) UserShare() float64 { return userShare(r.Breakdown) }
+func (r *Result) UserShare() float64 {
+	return blockShare(r.Breakdown, stats.BlockUser, stats.BlockStub)
+}
 
 // KernelShare is everything privileged: kernel code, syscall paths,
 // scheduling, page-table work, and dIPC's proxies/TLS (which run
 // privileged but outside the kernel).
-func (r *Result) KernelShare() float64 { return kernelShare(r.Breakdown) }
-
-// IdleShare is the idle/IO-wait fraction.
-func (r *Result) IdleShare() float64 { return idleShare(r.Breakdown) }
-
-// The share helpers group breakdown blocks into the Fig. 1 categories;
-// they are shared by the OLTP Result and the chain sweep's ChainResult.
-func userShare(bd stats.Breakdown) float64 {
-	return blockShare(bd, stats.BlockUser, stats.BlockStub)
-}
-
-func kernelShare(bd stats.Breakdown) float64 {
-	return blockShare(bd, stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
+func (r *Result) KernelShare() float64 {
+	return blockShare(r.Breakdown, stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
 		stats.BlockSched, stats.BlockPT, stats.BlockProxy, stats.BlockTLS)
 }
 
-func idleShare(bd stats.Breakdown) float64 { return blockShare(bd, stats.BlockIdle) }
+// IdleShare is the idle/IO-wait fraction.
+func (r *Result) IdleShare() float64 { return blockShare(r.Breakdown, stats.BlockIdle) }
 
+// blockShare is the fraction of bd's total spent in blocks.
 func blockShare(bd stats.Breakdown, blocks ...stats.Block) float64 {
 	total := bd.Total()
 	if total == 0 {
@@ -141,12 +134,12 @@ func Run(cfg Config) *Result {
 	m.StealOnIdle = !cfg.DisableSteal
 	db := NewDB(m, prm, cfg.InMemory)
 	stack := &Stack{Prm: prm, DB: db}
-	ingress := NewIngress(prm)
+	gw := NewGateway(prm, GatewayConfig{Policy: AdmitNone})
 
 	webProc := buildTiers(eng, m, stack, cfg)
 
 	// Web worker pool: in every configuration the web tier runs
-	// cfg.Threads workers accepting from the ingress. In the dIPC and
+	// cfg.Threads workers accepting from the gateway. In the dIPC and
 	// Ideal configurations these workers execute the whole stack in
 	// place — the service threads of the other tiers are gone (§2.3).
 	var rt *core.Runtime
@@ -161,9 +154,9 @@ func Run(cfg Config) *Result {
 				}
 			}
 			for {
-				req := ingress.Recv(t)
+				req := gw.Recv(t)
 				stack.WebHandle(t, req)
-				ingress.Reply(t, req)
+				gw.Reply(t, req, nil)
 			}
 		})
 	}
@@ -184,7 +177,7 @@ func Run(cfg Config) *Result {
 				req.op.Draw(rng, prm)
 				req.started = p.Now()
 				req.done = p.PrepareWait()
-				ingress.Submit(req)
+				gw.Submit(req, p.Now())
 				p.Wait()
 				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {

@@ -68,7 +68,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 		t.ExecUser(s.Prm.PHPBase)
 		for i := range req.Queries {
 			t.ExecUser(s.Prm.PHPPerQuery)
-			r := s.DBT.Call(t, "exec", &req.Queries[i], s.Prm.ReqQuery)
+			r := mustCall(s.DBT.TryCall(t, "exec", &req.Queries[i], s.Prm.ReqQuery))
 			// Multi-row results take extra cursor fetches.
 			rows := 1
 			if q, ok := r.(*Query); ok {
@@ -79,7 +79,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 				fetches = 2
 			}
 			for f := 0; f < fetches; f++ {
-				s.DBT.Call(t, "fetch", r, 64)
+				mustCall(s.DBT.TryCall(t, "fetch", r, 64))
 			}
 		}
 		return nil, s.Prm.RespWebPHP
@@ -95,6 +95,16 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 // panicUnknownOp is the cold failure path of the tier handlers.
 func panicUnknownOp(tier, op string) { panic(fmt.Sprintf("oltp: unknown %s op %q", tier, op)) }
 
+// mustCall unwraps the result of a call the fault-free stack expects to
+// succeed: none of its transports has a fault site or a watched serving
+// process, so an error here is a wiring bug.
+func mustCall(out any, err error) any {
+	if err != nil {
+		panic(fmt.Sprintf("oltp: fault-free call failed: %v", err))
+	}
+	return out
+}
+
 // WebHandle serves one client request on a web worker thread: parse,
 // drive the interpreter through the FastCGI-ish begin/run/end exchange,
 // assemble the response.
@@ -102,12 +112,12 @@ func (s *Stack) WebHandle(t *kernel.Thread, req *request) {
 	t.ExecUser(s.Prm.WebParse)
 	// The FastCGI exchange: begin-request, params records, the script
 	// body, streamed stdout chunks, end-request.
-	s.PHPT.Call(t, "begin", nil, 256)
-	s.PHPT.Call(t, "params", nil, 512)
-	s.PHPT.Call(t, "run", req.op, s.Prm.ReqWebPHP)
-	s.PHPT.Call(t, "stdout", nil, 64)
-	s.PHPT.Call(t, "stdout", nil, 64)
-	s.PHPT.Call(t, "end", nil, 64)
+	mustCall(s.PHPT.TryCall(t, "begin", nil, 256))
+	mustCall(s.PHPT.TryCall(t, "params", nil, 512))
+	mustCall(s.PHPT.TryCall(t, "run", req.op, s.Prm.ReqWebPHP))
+	mustCall(s.PHPT.TryCall(t, "stdout", nil, 64))
+	mustCall(s.PHPT.TryCall(t, "stdout", nil, 64))
+	mustCall(s.PHPT.TryCall(t, "end", nil, 64))
 	t.ExecUser(s.Prm.WebRespond)
 }
 

@@ -19,12 +19,11 @@ type Handler func(t *kernel.Thread, op string, payload any) (any, int)
 // call (Ideal), a dIPC proxy (dIPC), or UNIX sockets between worker
 // pools (Linux).
 type Transport interface {
-	// Call performs one synchronous request and returns the result.
-	Call(t *kernel.Thread, op string, payload any, reqBytes int) any
-	// TryCall is the failure-aware spelling of Call: it surfaces dead
-	// callees, injected faults, and in-band remote errors instead of
-	// panicking. Fault-free transports behave identically to Call and
-	// always return a nil error.
+	// TryCall performs one synchronous request and returns the result.
+	// It surfaces dead callees, injected faults, and in-band remote
+	// errors as an error; with no fault site, no serving process to
+	// watch and no RemoteError in flight the error is always nil, and
+	// the call charges only the transport's own cost.
 	TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error)
 	// Calls returns how many calls went through (for the §7.5
 	// calls-per-operation accounting).
@@ -46,20 +45,15 @@ type DirectTransport struct {
 	H     Handler
 	calls uint64
 	// Faults, when set, draws a per-call verdict before each TryCall
-	// (nil for fault-free runs; the plain Call path never consults it).
+	// (nil for fault-free runs).
 	Faults *faults.CallSite
 }
 
-// Call implements Transport.
-func (d *DirectTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	d.calls++
-	t.Exec(t.Machine().P.FuncCall, stats.BlockUser)
-	out, _ := d.H(t, op, payload)
-	return out
-}
-
-// TryCall implements Transport: like Call, but an injected fault or an
-// in-band RemoteError from the handler comes back as an error.
+// TryCall implements Transport: a function call into the handler. An
+// injected fault or an in-band RemoteError from the handler comes back
+// as an error.
+//
+//dipcvet:noalloc
 func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	d.calls++
 	if err := injectFault(t, d.Faults); err != nil {
@@ -91,7 +85,7 @@ type SockTransport struct {
 	Faults *faults.CallSite
 	// Proc is the serving process; when set and dead, TryCall fails fast
 	// (connection refused) instead of queueing to a pool that will never
-	// accept. The plain Call path ignores it.
+	// accept.
 	Proc *kernel.Process
 }
 
@@ -123,14 +117,6 @@ func (s *SockTransport) callerReq(t *kernel.Thread) *sockReq {
 	r := &sockReq{reply: ipc.NewConn(0).AtoB}
 	s.callers[t] = r
 	return r
-}
-
-// Call implements Transport for the caller side.
-//
-//dipcvet:noalloc
-func (s *SockTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	s.calls++
-	return s.roundTrip(t, op, payload, reqBytes)
 }
 
 // TryCall implements Transport: a dead serving process refuses the
@@ -232,29 +218,10 @@ func (d *DIPCTransport) newArgs(t *kernel.Thread) *core.Args {
 	return a
 }
 
-// Call implements Transport.
-//
-//dipcvet:noalloc
-func (d *DIPCTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	d.calls++
-	ent, ok := d.entries[op]
-	if !ok {
-		panicNoEntry(op)
-	}
-	out, err := ent.Call(t, d.callArgs(t, payload))
-	if err != nil {
-		panicCallFailed(op, err)
-	}
-	if out == nil {
-		return nil
-	}
-	return out.Data
-}
-
 // TryCall implements Transport: dIPC's own error path (a dead callee
-// fails the proxy's liveness check) propagates as an error instead of a
-// panic, so chaos runs exercise the same descriptor revalidation the
-// core layer implements.
+// fails the proxy's liveness check) propagates as an error, so chaos
+// runs exercise the same descriptor revalidation the core layer
+// implements.
 //
 //dipcvet:noalloc
 func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
@@ -276,17 +243,10 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	return unwrapRemote(out.Data)
 }
 
-// The cold failure paths of the dIPC calls: TryCall's errors and
-// Call's panics.
+// The cold failure paths of the dIPC call.
 func noEntryErr(op string) error { return fmt.Errorf("oltp: no dIPC entry for %q", op) }
 
 func callErr(op string, err error) error { return fmt.Errorf("oltp: dIPC call %q: %w", op, err) }
-
-func panicNoEntry(op string) { panic(fmt.Sprintf("oltp: no dIPC entry for %q", op)) }
-
-func panicCallFailed(op string, err error) {
-	panic(fmt.Sprintf("oltp: dIPC call %q failed: %v", op, err))
-}
 
 // Calls implements Transport.
 func (d *DIPCTransport) Calls() uint64 { return d.calls }

@@ -8,6 +8,16 @@ import (
 	"repro/internal/sim"
 )
 
+// mustTryCall makes one call through tr and fails the test on an error.
+func mustTryCall(t *testing.T, tr Transport, th *kernel.Thread, op string, payload any, reqBytes int) any {
+	t.Helper()
+	out, err := tr.TryCall(th, op, payload, reqBytes)
+	if err != nil {
+		t.Errorf("TryCall(%q) = %v", op, err)
+	}
+	return out
+}
+
 func TestDirectTransportCountsCalls(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
@@ -17,7 +27,7 @@ func TestDirectTransportCountsCalls(t *testing.T) {
 	}}
 	var got any
 	m.Spawn(p, "t", nil, func(th *kernel.Thread) {
-		got = tr.Call(th, "double", 21, 8)
+		got = mustTryCall(t, tr, th, "double", 21, 8)
 	})
 	eng.Run()
 	if got != 42 || tr.Calls() != 1 {
@@ -40,8 +50,8 @@ func TestSockTransportRoundTrip(t *testing.T) {
 	m.Spawn(ps, "worker", m.CPUs[1], tr.Worker)
 	var got any
 	m.Spawn(pc, "client", m.CPUs[0], func(th *kernel.Thread) {
-		got = tr.Call(th, "q", "hello", 128)
-		got = tr.Call(th, "q", got, 128)
+		got = mustTryCall(t, tr, th, "q", "hello", 128)
+		got = mustTryCall(t, tr, th, "q", got, 128)
 	})
 	eng.Run()
 	if got != "hello-reply-reply" {
@@ -71,7 +81,7 @@ func TestSockTransportPerThreadReplySockets(t *testing.T) {
 		i := i
 		m.Spawn(pc, "client", nil, func(th *kernel.Thread) {
 			// Client 0 asks for a slow reply, client 1 a fast one.
-			results[i] = tr.Call(th, "q", 100-90*i, 64)
+			results[i] = mustTryCall(t, tr, th, "q", 100-90*i, 64)
 		})
 	}
 	eng.Run()

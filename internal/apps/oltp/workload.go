@@ -4,7 +4,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // OpKind is one DVDStore operation type.
@@ -82,59 +81,15 @@ func (op *Operation) Draw(rng *sim.Rand, prm *Params) {
 	}
 }
 
-// request is one in-flight client request crossing the ingress.
+// request is one in-flight client request crossing the gateway.
 type request struct {
 	op      *Operation
 	started sim.Time
 	done    sim.Waiter
-	// err is the failure outcome reported back to the client; only the
-	// fault-aware runners (RunChainFaults) ever set it.
+	// err is the outcome reported back to the client. Only the Gateway
+	// sets it: Reply records the chain's in-band failure, a shed records
+	// the rejection.
 	err error
-}
-
-// Ingress models the HTTP front door: clients live off-machine (the
-// DVDStore driver host), so submission costs nothing locally; the web
-// tier's accept/read/write syscalls are charged in full.
-type Ingress struct {
-	prm     *Params
-	pending ring.Deque[*request]
-	waiters kernel.TQueue
-}
-
-// NewIngress builds the front door.
-func NewIngress(prm *Params) *Ingress { return &Ingress{prm: prm} }
-
-// Submit delivers a client request (called from a client sim.Proc).
-func (in *Ingress) Submit(req *request) {
-	if in.waiters.WakeOne(req, nil) {
-		return
-	}
-	in.pending.PushBack(req)
-}
-
-// Recv blocks a web worker until a request arrives, charging the
-// accept+read path.
-func (in *Ingress) Recv(t *kernel.Thread) *request {
-	var req *request
-	t.Syscall(func() {
-		p := t.Machine().P
-		t.Exec(p.SockKernel+p.KernelCopy(in.prm.IngressReq), stats.BlockKernel)
-		if in.pending.Len() > 0 {
-			req = in.pending.PopFront()
-			return
-		}
-		req = in.waiters.BlockOn(t).(*request)
-	})
-	return req
-}
-
-// Reply sends the response page back to the client.
-func (in *Ingress) Reply(t *kernel.Thread, req *request) {
-	t.Syscall(func() {
-		p := t.Machine().P
-		t.Exec(p.SockKernel+p.KernelCopy(in.prm.IngressResp), stats.BlockKernel)
-	})
-	req.done.Wake(0, nil)
 }
 
 // Inbox is a machine's request inbox for multi-machine runners: an

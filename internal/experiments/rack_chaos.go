@@ -47,6 +47,14 @@ type RackChaosResult struct {
 	LinkDowntime []sim.Time // per transmit link, total down time
 }
 
+// A request ID carries the client index in its low rackClientBits bits.
+const (
+	rackClientBits = 16
+	rackClientMask = 1<<rackClientBits - 1
+	// rackChaosMaxClients is the most clients an ID can tell apart.
+	rackChaosMaxClients = rackClientMask + 1
+)
+
 // RunRackChaos builds the ring with failure hooks and runs the plan.
 //
 // Request IDs encode (sequence << 16 | client index): a client only
@@ -56,6 +64,9 @@ type RackChaosResult struct {
 // link is dropped — the client learns of it only through its deadline,
 // exactly like a lost packet.
 func RunRackChaos(c RackChaosConfig) *RackChaosResult {
+	if c.Clients > rackChaosMaxClients {
+		panic(fmt.Sprintf("experiments: rack chaos: at most %d clients (ID encoding)", rackChaosMaxClients))
+	}
 	if c.Retry.Deadline == 0 {
 		c.Retry.Deadline = sim.Micros(150)
 	}
@@ -97,7 +108,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 			// current request; a completion that lost its race with the
 			// deadline is stale and must be dropped on the floor.
 			l.SetHandler(func(v uint64) {
-				ci := int(v & 0xffff)
+				ci := int(v & rackClientMask)
 				if curID[ci] == v {
 					waiters[ci].WakeU64(0, v)
 				}
@@ -166,7 +177,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 						accs[0].Rel.Attempts++
 					}
 					seq++
-					id := seq<<16 | uint64(ci)
+					id := seq<<rackClientBits | uint64(ci)
 					waiters[ci] = sp.PrepareTimedWait(c.Retry.Deadline)
 					curID[ci] = id
 					if nics[0].Up() {

@@ -154,3 +154,33 @@ func TestRegistrationOrderMatchesLegacyStepTable(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckersBoundRunnerLimits checks that a parameter value the runner
+// cannot honour is refused by the scenario's checker, before any
+// simulation starts, and that the limit itself is still accepted.
+// RunRackChaos packs a client index into 16 bits of a request ID;
+// RunReplicated packs it into 12 bits, must boot every replica's chain
+// within 1ms, and must finish booting inside the warmup. Nothing here
+// runs a simulation: NewConfig only parses and checks.
+func TestCheckersBoundRunnerLimits(t *testing.T) {
+	for _, tc := range []struct {
+		scenario, key, ok, bad string
+	}{
+		{"chaos-rack", "clients", "65536", "65537"},
+		{"failover-kill", "clients", "4095", "4096"},
+		{"failover-flap", "depth", "17", "18"},
+		{"failover-hedge", "warmup", "1001us", "1ms"},
+	} {
+		s, found := scenario.Default.Lookup(tc.scenario)
+		if !found {
+			t.Fatalf("scenario %q not registered", tc.scenario)
+		}
+		if _, err := scenario.NewConfig(s, map[string]string{tc.key: tc.ok}); err != nil {
+			t.Errorf("%s %s=%s: refused at the limit: %v", tc.scenario, tc.key, tc.ok, err)
+		}
+		_, err := scenario.NewConfig(s, map[string]string{tc.key: tc.bad})
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s %s=%s: err = %v, want a refusal naming %q", tc.scenario, tc.key, tc.bad, err, tc.key)
+		}
+	}
+}

@@ -31,6 +31,13 @@ func intAtLeast(key string, v, min int) error {
 	return nil
 }
 
+func intAtMost(key string, v, max int) error {
+	if v > max {
+		return fmt.Errorf("%s must be <= %d, got %d", key, max, v)
+	}
+	return nil
+}
+
 func intsAtLeast(key string, vs []int, min int) error {
 	for _, v := range vs {
 		if err := intAtLeast(key, v, min); err != nil {

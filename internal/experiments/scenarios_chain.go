@@ -24,14 +24,17 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 	// One sweep point per (mode, depth) cell; every cell builds its own
 	// engine and machine, so the grid fans out over the worker pool.
-	cells := sweepWorkers(len(oltpModes)*len(depths), shardWorkersOf(cfg), func(i int) *oltp.ChainResult {
+	// The chain runs fault-free: a nil plan.
+	cells := sweepWorkers(len(oltpModes)*len(depths), shardWorkersOf(cfg), func(i int) *oltp.ChainFaultsResult {
 		mode, depth := oltpModes[i/len(depths)], depths[i%len(depths)]
-		return oltp.RunChain(oltp.ChainConfig{
+		return oltp.RunChainFaults(oltp.ChainFaultsConfig{ChainConfig: oltp.ChainConfig{
 			Mode: mode, Depth: depth, Threads: threads,
 			Work: work, Window: window, Seed: 5,
-		})
+		}})
 	})
-	at := func(mode, depth int) *oltp.ChainResult { return cells[mode*len(depths)+depth] }
+	at := func(mode, depth int) *oltp.ChainFaultsResult { return cells[mode*len(depths)+depth] }
+	// Throughput in operations per minute.
+	tputOf := func(r *oltp.ChainFaultsResult) float64 { return r.Goodput * 60 }
 
 	res := &scenario.Result{Scenario: "chain", Params: cfg.ParamStrings()}
 	for mi, mode := range oltpModes {
@@ -39,7 +42,7 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		lat := scenario.Series{Label: mode.String() + " latency", Unit: "us"}
 		for di, d := range depths {
 			r := at(mi, di)
-			tput.Points = append(tput.Points, scenario.Point{X: float64(d), Y: r.Throughput})
+			tput.Points = append(tput.Points, scenario.Point{X: float64(d), Y: tputOf(r)})
 			lat.Points = append(lat.Points, scenario.Point{X: float64(d), Y: r.AvgLatency.Microseconds()})
 		}
 		res.Series = append(res.Series, tput)
@@ -48,11 +51,11 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	// Headline: how the dIPC advantage moves across the sweep.
 	deepest := len(depths) - 1
 	lin, dip, ide := at(0, deepest), at(1, deepest), at(2, deepest)
-	if lin.Throughput > 0 && ide.Throughput > 0 {
+	if tputOf(lin) > 0 && tputOf(ide) > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"depth %d: dIPC %.2fx over Linux, %.1f%% of Ideal, %.1f calls/op",
-			depths[deepest], dip.Throughput/lin.Throughput,
-			100*dip.Throughput/ide.Throughput, dip.CallsPerOp))
+			depths[deepest], tputOf(dip)/tputOf(lin),
+			100*tputOf(dip)/tputOf(ide), dip.CallsPerOp))
 	}
 	return res, nil
 }

@@ -241,6 +241,7 @@ func init() {
 				intAtLeast("cpus", cfg.Int("cpus"), 1),
 				intAtLeast("workers", cfg.Int("workers"), 1),
 				intAtLeast("clients", cfg.Int("clients"), 1),
+				intAtMost("clients", cfg.Int("clients"), rackChaosMaxClients),
 				intAtLeast("reqbytes", cfg.Int("reqbytes"), 1),
 				durationPositive("work", cfg.Duration("work")),
 				durationPositive("warmup", cfg.Duration("warmup")),

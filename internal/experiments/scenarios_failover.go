@@ -281,7 +281,10 @@ func checkFailoverCommon(cfg *scenario.Config) error {
 		durationPositive("deadline", cfg.Duration("deadline")),
 		intAtLeast("retries", cfg.Int("retries"), 0),
 		durationPositive("backoff", cfg.Duration("backoff")),
-		intAtLeast("shards", cfg.Int("shards"), 0))
+		intAtLeast("shards", cfg.Int("shards"), 0),
+		// The client cap, the boot deadline the depth must fit, and the
+		// warmup that must outlast the boot are RunReplicated's own.
+		failoverBase(cfg, oltp.ModeDIPC).Validate())
 }
 
 func init() {
